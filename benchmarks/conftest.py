@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every bench module reproduces one table/figure of the paper (DESIGN.md
-experiment index).  Benches both *measure* (via pytest-benchmark) and
-*verify* (assertions on the reproduced numbers); the printed rows are
-collected in EXPERIMENTS.md.
+Every bench module reproduces one table/figure of the paper or gates
+one engine (the README's Benchmarks section lists them; ``docs/``
+describes each subsystem they measure).  Benches both *measure* (via
+pytest-benchmark) and *verify* (assertions on the reproduced numbers);
+the printed paper-vs-measured rows are appended to
+``benchmark_report.txt``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def report():
         ]
         body = header + rows
         print("\n" + "\n".join(body))
-        # persist for EXPERIMENTS.md regardless of output capturing
+        # persist the summary regardless of output capturing
         import os
 
         path = os.path.join(

@@ -35,132 +35,74 @@ baselines), :mod:`repro.codegen` (C emission), :mod:`repro.sim`
 (dispatcher machine), :mod:`repro.analysis` (schedulability theory and
 reports), :mod:`repro.batch` (parallel multi-spec synthesis with
 result caching and campaign sweeps).
+
+Every public name resolves on first access (PEP 562), so ``import
+repro`` loads no subpackage and a process pays only for the layers it
+uses.
 """
 
-from repro.batch import (
-    BatchEngine,
-    BatchJob,
-    BatchResult,
-    CampaignGrid,
-    CampaignResult,
-    JobOutcome,
-    ResultCache,
-    run_campaign,
-)
-from repro.blocks import BlockStyle, ComposedModel, ComposerOptions, compose
-from repro.codegen import GeneratedProject, generate_project
-from repro.errors import (
-    CodeGenError,
-    DSLError,
-    EzRealtimeError,
-    InfeasibleScheduleError,
-    NetConstructionError,
-    PNMLError,
-    SchedulingError,
-    SimulationError,
-    SpecificationError,
-    TraceVerificationError,
-)
-from repro.scheduler import (
-    AdaptiveStore,
-    ParallelScheduler,
-    SchedulerConfig,
-    SchedulerResult,
-    SearchCore,
-    TaskLevelSchedule,
-    default_portfolio,
-    find_schedule,
-    require_schedule,
-    schedule_from_result,
-    simulate_runtime,
-)
-from repro.sim import (
-    DispatcherMachine,
-    NetSimulator,
-    run_schedule,
-    simulate_net,
-    verify_trace,
-)
-from repro.spec import (
-    EzRTSpec,
-    SchedulingType,
-    SpecBuilder,
-    Task,
-    fig3_precedence,
-    fig4_exclusion,
-    fig8_preemptive,
-    mine_pump,
-)
-from repro.tpn import TimeInterval, TimePetriNet
-from repro.workloads import (
-    campaign_task_sets,
-    hard_portfolio_task_set,
-    random_task_set,
-    random_task_set_with_relations,
-    time_scaled_task_set,
-    uunifast,
-    wide_interval_race_net,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveStore",
-    "BatchEngine",
-    "BatchJob",
-    "BatchResult",
-    "BlockStyle",
-    "CampaignGrid",
-    "CampaignResult",
-    "CodeGenError",
-    "ComposedModel",
-    "ComposerOptions",
-    "DSLError",
-    "DispatcherMachine",
-    "EzRTSpec",
-    "EzRealtimeError",
-    "GeneratedProject",
-    "InfeasibleScheduleError",
-    "JobOutcome",
-    "NetConstructionError",
-    "NetSimulator",
-    "PNMLError",
-    "ResultCache",
-    "ParallelScheduler",
-    "SchedulerConfig",
-    "SchedulerResult",
-    "SearchCore",
-    "SchedulingError",
-    "SchedulingType",
-    "SimulationError",
-    "SpecBuilder",
-    "SpecificationError",
-    "Task",
-    "TaskLevelSchedule",
-    "TimeInterval",
-    "TimePetriNet",
-    "TraceVerificationError",
-    "__version__",
-    "campaign_task_sets",
-    "hard_portfolio_task_set",
-    "compose",
-    "fig3_precedence",
-    "fig4_exclusion",
-    "fig8_preemptive",
-    "default_portfolio",
-    "find_schedule",
-    "generate_project",
-    "mine_pump",
-    "random_task_set",
-    "random_task_set_with_relations",
-    "time_scaled_task_set",
-    "require_schedule",
-    "run_campaign",
-    "run_schedule",
-    "schedule_from_result",
-    "simulate_net",
-    "simulate_runtime",
-    "uunifast",
-    "verify_trace",
-    "wide_interval_race_net",
-]
+#: defining module -> the public names it contributes
+_SUBMODULES = {
+    ".batch": (
+        "BatchEngine", "BatchJob", "BatchResult", "CampaignGrid",
+        "CampaignResult", "JobOutcome", "ResultCache", "run_campaign",
+    ),
+    ".blocks": ("BlockStyle", "ComposedModel", "ComposerOptions", "compose"),
+    ".codegen": ("GeneratedProject", "generate_project"),
+    ".errors": (
+        "CodeGenError", "DSLError", "EzRealtimeError",
+        "InfeasibleScheduleError", "NetConstructionError", "PNMLError",
+        "SchedulingError", "SimulationError", "SpecificationError",
+        "TraceVerificationError",
+    ),
+    ".scheduler": (
+        "AdaptiveStore", "ParallelScheduler", "SchedulerConfig",
+        "SchedulerResult", "SearchCore", "TaskLevelSchedule",
+        "default_portfolio", "find_schedule", "require_schedule",
+        "schedule_from_result", "simulate_runtime",
+    ),
+    ".sim": (
+        "DispatcherMachine", "NetSimulator", "run_schedule",
+        "simulate_net", "verify_trace",
+    ),
+    ".spec": (
+        "EzRTSpec", "SchedulingType", "SpecBuilder", "Task",
+        "fig3_precedence", "fig4_exclusion", "fig8_preemptive",
+        "mine_pump",
+    ),
+    ".tpn": ("TimeInterval", "TimePetriNet"),
+    ".workloads": (
+        "campaign_task_sets", "hard_portfolio_task_set",
+        "random_task_set", "random_task_set_with_relations",
+        "time_scaled_task_set", "uunifast", "wide_interval_race_net",
+    ),
+}
+
+#: public name -> defining module
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining module on first access and cache the
+    # value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

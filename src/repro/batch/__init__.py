@@ -61,58 +61,49 @@ or, from the shell: ``ezrt batch --n-tasks 4,6,8 --utilizations
 0.3,0.5,0.7 --seeds 0-9 -o results.jsonl``.
 """
 
-from repro.batch.cache import (
-    CACHE_FORMAT_VERSION,
-    ResultCache,
-    cache_key,
-    job_fingerprint,
-    spec_fingerprint,
-)
-from repro.batch.campaign import (
-    CampaignGrid,
-    CampaignResult,
-    run_campaign,
-)
-from repro.batch.engine import (
-    BatchEngine,
-    BatchResult,
-    BatchStats,
-    Submission,
-    SubmissionBridge,
-    default_workers,
-)
-from repro.batch.job import (
-    BatchJob,
-    JobOutcome,
-    STATUS_ERROR,
-    STATUS_FEASIBLE,
-    STATUS_INFEASIBLE,
-    STATUS_TIMEOUT,
-    STATUSES,
-    execute_job,
-)
+from importlib import import_module
 
-__all__ = [
-    "BatchEngine",
-    "BatchJob",
-    "BatchResult",
-    "BatchStats",
-    "CACHE_FORMAT_VERSION",
-    "CampaignGrid",
-    "CampaignResult",
-    "JobOutcome",
-    "ResultCache",
-    "STATUSES",
-    "STATUS_ERROR",
-    "STATUS_FEASIBLE",
-    "STATUS_INFEASIBLE",
-    "STATUS_TIMEOUT",
-    "Submission",
-    "SubmissionBridge",
-    "cache_key",
-    "default_workers",
-    "execute_job",
-    "job_fingerprint",
-    "run_campaign",
-    "spec_fingerprint",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".cache": (
+        "CACHE_FORMAT_VERSION", "ResultCache", "cache_key",
+        "job_fingerprint", "spec_fingerprint",
+    ),
+    ".campaign": (
+        "CampaignGrid", "CampaignResult", "run_campaign",
+    ),
+    ".engine": (
+        "BatchEngine", "BatchResult", "BatchStats", "Submission",
+        "SubmissionBridge", "default_workers",
+    ),
+    ".job": (
+        "BatchJob", "JobOutcome", "STATUS_ERROR", "STATUS_FEASIBLE",
+        "STATUS_INFEASIBLE", "STATUS_TIMEOUT", "STATUSES",
+        "execute_job",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -67,6 +67,8 @@ from repro.batch.job import (
     execute_job,
 )
 from repro.blocks.composer import ComposerOptions
+from repro.lint.diagnostics import has_errors
+from repro.lint.specrules import presearch_diagnostics
 from repro.scheduler.adaptive import (
     AdaptiveStore,
     predict_states,
@@ -74,6 +76,12 @@ from repro.scheduler.adaptive import (
 )
 from repro.scheduler.config import SchedulerConfig
 from repro.spec.model import EzRTSpec
+
+# Pool workers fork from this process.  The search adapters import
+# their engine modules lazily, so load them here (the DBM core pulls
+# in the packed kernel and the state-class engine): no worker then
+# imports an engine per job.
+import repro.tpn.dbm  # noqa: F401
 
 
 def default_workers() -> int:
@@ -97,10 +105,6 @@ def prelint_outcome(job: BatchJob) -> JobOutcome | None:
     must decide (warning-only findings ride along on the worker's
     result instead, via the scheduler's own gate).
     """
-    # deferred import: keeps the worker-imported module graph lean
-    from repro.lint.diagnostics import has_errors
-    from repro.lint.specrules import presearch_diagnostics
-
     diagnostics = presearch_diagnostics(
         job.spec, engine=job.config.engine
     )

@@ -37,17 +37,9 @@ import tempfile
 from dataclasses import replace
 
 from repro.errors import EzRealtimeError
-from repro.analysis import (
-    campaign_report,
-    full_report,
-    interval_slack_report,
-)
-from repro.batch import BatchEngine, CampaignGrid, ResultCache
 from repro.blocks import BlockStyle, ComposerOptions, compose
 from repro.codegen import TARGETS, generate_project
 from repro.obs import NULL_RECORDER, JsonlSink, Recorder
-from repro.obs.trace import write_chrome_trace
-from repro.pnml import save as pnml_save
 from repro.scheduler import (
     ENGINES,
     SchedulerConfig,
@@ -55,9 +47,15 @@ from repro.scheduler import (
     schedule_from_result,
 )
 from repro.sim import run_schedule, verify_trace
-from repro.spec import load as dsl_load
-from repro.spec import paper_examples, save as dsl_save
+from repro.spec import paper_examples
 from repro.spec.validation import validate_spec
+
+# Import layering: the stacks only some subcommands run — batch and
+# service (process pools, asyncio), the analysis reports, PNML, the XML
+# DSL and the lint CLI — are imported inside those subcommands, so a
+# cold `ezrt simulate`/`codegen` process never loads them.  The
+# pipeline entry points above stay module attributes, looked up at
+# call time, so wrappers can still be swapped in for tracing.
 
 
 def _load_spec(ref: str):
@@ -71,7 +69,9 @@ def _load_spec(ref: str):
                 f"{sorted(examples)}"
             )
         return examples[name]
-    return dsl_load(ref)
+    from repro.spec.dsl import load
+
+    return load(ref)
 
 
 def _composer_options(args) -> ComposerOptions:
@@ -122,6 +122,8 @@ def _start_trace(args):
     args._trace_jsonl = jsonl_path
 
     def finalize() -> None:
+        from repro.obs.trace import write_chrome_trace
+
         try:
             write_chrome_trace(jsonl_path, args.trace)
         finally:
@@ -167,15 +169,15 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="incremental",
+        default=SchedulerConfig.engine,
         help=(
-            "successor engine: the O(degree) incremental hot path "
-            "(default), the packed-buffer kernel (flat state buffers "
-            "with an optional compiled C inner loop and a pure-Python "
-            "fallback), the checked reference semantics, or the "
-            "dense-time state-class engine (searches Berthomieu-Diaz "
-            "classes and concretises the schedule back to integer "
-            "time)"
+            "successor engine (default: %(default)s): the O(degree) "
+            "incremental hot path, the packed-buffer kernel (flat "
+            "state buffers with an optional compiled C inner loop and "
+            "a pure-Python fallback), the checked reference "
+            "semantics, or the dense-time state-class engine "
+            "(searches Berthomieu-Diaz classes and concretises the "
+            "schedule back to integer time)"
         ),
     )
     parser.add_argument(
@@ -285,6 +287,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from repro.pnml import save as pnml_save
+
     spec = _load_spec(args.spec)
     model = compose(spec, _composer_options(args))
     pnml_save(model.net, args.output)
@@ -299,6 +303,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    from repro.analysis.report import full_report, interval_slack_report
+
     spec = _load_spec(args.spec)
     finalize_trace = _start_trace(args)
     try:
@@ -428,6 +434,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _cmd_batch(args) -> int:
+    from repro.batch import ResultCache
+
     # a memory-only cache cannot hit within one CLI invocation (and
     # in-batch duplicates are deduplicated anyway), so only build one
     # when there is a directory to persist it in
@@ -440,6 +448,9 @@ def _cmd_batch(args) -> int:
 
 
 def _run_batch(args, cache) -> int:
+    from repro.analysis.report import campaign_report
+    from repro.batch import BatchEngine, CampaignGrid
+
     # batch progress is job-completion driven; per-job search
     # heartbeats would interleave on stderr, so strip the flag from
     # the scheduler config the jobs inherit
@@ -497,6 +508,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
+    from repro.batch import BatchEngine, ResultCache
     from repro.service.app import serve
 
     def _graceful(signum, frame):
@@ -536,8 +548,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    # deferred import: the lint package pulls the composer and the
-    # utilization analysis in; the other subcommands don't need it
     from repro.lint import has_errors, lint_spec
 
     failed = False
@@ -578,8 +588,10 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from repro.spec.dsl import save
+
     spec = _load_spec(args.spec)
-    dsl_save(spec, args.output)
+    save(spec, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -815,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=ENGINES,
-        default="incremental",
+        default=SchedulerConfig.engine,
         help=(
             "engine the spec is destined for (enables engine-"
             "specific rules, e.g. the kernel token-capacity check)"

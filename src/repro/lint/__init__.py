@@ -17,54 +17,47 @@ See ``docs/linting.md`` for the rule table and workflows.
 
 from __future__ import annotations
 
-from repro.lint.diagnostics import (
-    ERROR,
-    WARNING,
-    Diagnostic,
-    LintReport,
-    errors,
-    format_report,
-    has_errors,
-)
-from repro.lint.coderules import (
-    check_fixture_dir,
-    fingerprint_drift,
-    lint_file,
-    lint_source,
-    lint_tree,
-)
-from repro.lint.specrules import (
-    classify_problem,
-    config_diagnostics,
-    dbm_bound_diagnostics,
-    infeasibility_diagnostics,
-    lint_spec,
-    net_diagnostics,
-    presearch_diagnostics,
-    token_cap_diagnostics,
-    validation_diagnostics,
-)
+from importlib import import_module
 
-__all__ = [
-    "ERROR",
-    "WARNING",
-    "Diagnostic",
-    "LintReport",
-    "check_fixture_dir",
-    "classify_problem",
-    "config_diagnostics",
-    "dbm_bound_diagnostics",
-    "errors",
-    "fingerprint_drift",
-    "format_report",
-    "has_errors",
-    "infeasibility_diagnostics",
-    "lint_file",
-    "lint_source",
-    "lint_spec",
-    "lint_tree",
-    "net_diagnostics",
-    "presearch_diagnostics",
-    "token_cap_diagnostics",
-    "validation_diagnostics",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".diagnostics": (
+        "ERROR", "WARNING", "Diagnostic", "LintReport", "errors",
+        "format_report", "has_errors",
+    ),
+    ".coderules": (
+        "check_fixture_dir", "fingerprint_drift", "lint_file",
+        "lint_source", "lint_tree",
+    ),
+    ".specrules": (
+        "classify_problem", "config_diagnostics",
+        "dbm_bound_diagnostics", "infeasibility_diagnostics",
+        "lint_spec", "net_diagnostics", "presearch_diagnostics",
+        "token_cap_diagnostics", "validation_diagnostics",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -37,10 +37,13 @@ from repro.lint.diagnostics import ERROR, WARNING, Diagnostic, has_errors
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
 from repro.spec.validation import validate_spec
-from repro.tpn.dbm import MAX_BOUND
 from repro.tpn.interval import INF
-from repro.tpn.kernel import MAX_TOKENS
 from repro.tpn.net import CompiledNet
+
+# The engine caps (repro.tpn.kernel.MAX_TOKENS/MAX_CLOCK,
+# repro.tpn.dbm.MAX_BOUND) are read inside the rules that need them,
+# so the pre-search gate loads an engine module only when the search
+# targets that engine.
 
 #: Utilisation slack below which ``U > capacity`` is treated as noise
 #: (mirrors :func:`repro.analysis.utilization.necessary_feasible`).
@@ -296,7 +299,7 @@ def infeasibility_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
 def token_cap_diagnostics(
     spec: EzRTSpec, engine: str | None = None
 ) -> list[Diagnostic]:
-    """EZT203 (spec level): instance counts near the kernel token cap.
+    """EZT203 (spec level): the packed kernel's token and clock caps.
 
     A task with ``N = PS / p`` instances marks instance-counting
     places with up to ``N`` tokens over the hyper-period; the packed
@@ -304,7 +307,15 @@ def token_cap_diagnostics(
     loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`.  This
     surfaces the overflow *before* the search (and before a compile
     that would unroll the instances).
+
+    The kernel's clocks are ``uint16`` words too, and it aborts
+    mid-search once one passes :data:`repro.tpn.kernel.MAX_CLOCK`.
+    No clock can exceed the elapsed time, which is at most the
+    hyper-period, so a hyper-period within the cap proves the search
+    safe; past it, the kernel-targeted lint warns.
     """
+    from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
+
     if not spec.tasks:
         return []
     period = schedule_period(spec)
@@ -334,6 +345,24 @@ def token_cap_diagnostics(
                     element=f"task {task.name!r}",
                 )
             )
+    if engine == "kernel" and not diagnostics and period > MAX_CLOCK:
+        diagnostics.append(
+            Diagnostic(
+                code="EZT203",
+                severity=WARNING,
+                message=(
+                    f"hyper-period {period} exceeds the packed "
+                    f"kernel's {MAX_CLOCK} clock cap; the kernel "
+                    "engine will abort mid-search once a clock "
+                    "passes it"
+                ),
+                hint=(
+                    "rescale the time unit, harmonise the periods, or "
+                    "use a non-kernel engine"
+                ),
+                element=f"spec {spec.name!r}",
+            )
+        )
     return diagnostics
 
 
@@ -353,6 +382,8 @@ def dbm_bound_diagnostics(
     surfaces the overflow *before* the compile, mirroring the
     EZT203 token-cap rule.
     """
+    from repro.tpn.dbm import MAX_BOUND
+
     if not spec.tasks:
         return []
     stateclass = engine == "stateclass"
@@ -464,6 +495,9 @@ def net_diagnostics(
     markable.  Transitions outside the fixpoint can never fire in any
     run (EZT201); unmarkable places are dead weight (EZT202).
     """
+    from repro.tpn.dbm import MAX_BOUND
+    from repro.tpn.kernel import MAX_TOKENS
+
     markable = {
         index for index, tokens in enumerate(net.m0) if tokens > 0
     }

@@ -26,30 +26,45 @@ traces: as first-class analysis artifacts, not debug prints.
 See ``docs/observability.md`` for the span and metric reference.
 """
 
-from repro.obs.events import (
-    NULL_RECORDER,
-    JsonlSink,
-    NullRecorder,
-    Recorder,
-)
-from repro.obs.metrics import MetricsRegistry, format_metrics
-from repro.obs.progress import ProgressFile, ProgressPrinter
-from repro.obs.trace import (
-    chrome_trace,
-    read_events,
-    write_chrome_trace,
-)
+from importlib import import_module
 
-__all__ = [
-    "JsonlSink",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "ProgressFile",
-    "ProgressPrinter",
-    "Recorder",
-    "chrome_trace",
-    "format_metrics",
-    "read_events",
-    "write_chrome_trace",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".events": (
+        "NULL_RECORDER", "JsonlSink", "NullRecorder", "Recorder",
+    ),
+    ".metrics": (
+        "MetricsRegistry", "format_metrics",
+    ),
+    ".progress": (
+        "ProgressFile", "ProgressPrinter",
+    ),
+    ".trace": (
+        "chrome_trace", "read_events", "write_chrome_trace",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

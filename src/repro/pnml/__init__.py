@@ -1,16 +1,41 @@
 """PNML (ISO/IEC 15909-2) interchange for time Petri nets."""
 
-from repro.pnml.reader import load, loads
-from repro.pnml.schema import PNML_NS, PTNET_TYPE, TOOL_NAME, TOOL_VERSION
-from repro.pnml.writer import dumps, save
+from importlib import import_module
 
-__all__ = [
-    "PNML_NS",
-    "PTNET_TYPE",
-    "TOOL_NAME",
-    "TOOL_VERSION",
-    "dumps",
-    "load",
-    "loads",
-    "save",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".reader": (
+        "load", "loads",
+    ),
+    ".schema": (
+        "PNML_NS", "PTNET_TYPE", "TOOL_NAME", "TOOL_VERSION",
+    ),
+    ".writer": (
+        "dumps", "save",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,116 +1,70 @@
 """Pre-runtime scheduler, schedule extraction and runtime baselines."""
 
-from repro.scheduler.adaptive import (
-    AdaptiveStore,
-    bench_model_families,
-    net_family,
-    predict_states,
-    spec_family,
-)
-from repro.scheduler.baselines import (
-    DeadlineMiss,
-    RUNTIME_POLICIES,
-    RuntimeOutcome,
-    exclusion_blocking_pair,
-    mok_trap,
-    rm_overload_pair,
-    simulate_runtime,
-)
-from repro.scheduler.config import (
-    DELAY_MODES,
-    ENGINES,
-    PARALLEL_MODES,
-    PRIORITY_MODES,
-    SchedulerConfig,
-)
-from repro.scheduler.core import (
-    EngineAdapter,
-    IncrementalAdapter,
-    ReferenceAdapter,
-    SearchCore,
-    StateClassAdapter,
-    make_adapter,
-)
-from repro.scheduler.dfs import (
-    PreRuntimeScheduler,
-    find_schedule,
-    require_schedule,
-    search,
-)
-from repro.scheduler.parallel import (
-    ParallelScheduler,
-    SharedVisitedFilter,
-    split_frontier,
-    validate_with_reference,
-)
-from repro.scheduler.policies import (
-    POLICIES,
-    default_portfolio,
-    parse_policy,
-    parse_slot,
-)
-from repro.scheduler.result import SchedulerResult, SearchStats
-from repro.scheduler.schedule import (
-    BusSegment,
-    DenseScheduleEntry,
-    ExecutionSegment,
-    ScheduleItem,
-    TaskLevelSchedule,
-    build_schedule_items,
-    dense_schedule_entries,
-    extract_schedule,
-    format_dense_schedule,
-    schedule_from_result,
-    validate_schedule,
-)
+from importlib import import_module
 
-__all__ = [
-    "AdaptiveStore",
-    "BusSegment",
-    "DELAY_MODES",
-    "DeadlineMiss",
-    "DenseScheduleEntry",
-    "ENGINES",
-    "EngineAdapter",
-    "ExecutionSegment",
-    "PARALLEL_MODES",
-    "POLICIES",
-    "IncrementalAdapter",
-    "ParallelScheduler",
-    "PRIORITY_MODES",
-    "PreRuntimeScheduler",
-    "ReferenceAdapter",
-    "SearchCore",
-    "StateClassAdapter",
-    "RUNTIME_POLICIES",
-    "RuntimeOutcome",
-    "ScheduleItem",
-    "SchedulerConfig",
-    "SchedulerResult",
-    "SearchStats",
-    "SharedVisitedFilter",
-    "TaskLevelSchedule",
-    "bench_model_families",
-    "build_schedule_items",
-    "default_portfolio",
-    "dense_schedule_entries",
-    "exclusion_blocking_pair",
-    "extract_schedule",
-    "find_schedule",
-    "format_dense_schedule",
-    "make_adapter",
-    "mok_trap",
-    "net_family",
-    "parse_policy",
-    "parse_slot",
-    "predict_states",
-    "require_schedule",
-    "rm_overload_pair",
-    "schedule_from_result",
-    "search",
-    "spec_family",
-    "simulate_runtime",
-    "split_frontier",
-    "validate_schedule",
-    "validate_with_reference",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".adaptive": (
+        "AdaptiveStore", "bench_model_families", "net_family",
+        "predict_states", "spec_family",
+    ),
+    ".baselines": (
+        "DeadlineMiss", "RUNTIME_POLICIES", "RuntimeOutcome",
+        "exclusion_blocking_pair", "mok_trap", "rm_overload_pair",
+        "simulate_runtime",
+    ),
+    ".config": (
+        "DELAY_MODES", "ENGINES", "PARALLEL_MODES", "PRIORITY_MODES",
+        "SchedulerConfig",
+    ),
+    ".core": (
+        "EngineAdapter", "IncrementalAdapter", "ReferenceAdapter",
+        "SearchCore", "StateClassAdapter", "make_adapter",
+        "validate_with_reference",
+    ),
+    ".dfs": (
+        "PreRuntimeScheduler", "find_schedule", "require_schedule",
+        "search",
+    ),
+    ".parallel": (
+        "ParallelScheduler", "SharedVisitedFilter", "split_frontier",
+    ),
+    ".policies": (
+        "POLICIES", "default_portfolio", "parse_policy", "parse_slot",
+    ),
+    ".result": (
+        "SchedulerResult", "SearchStats",
+    ),
+    ".schedule": (
+        "BusSegment", "DenseScheduleEntry", "ExecutionSegment",
+        "ScheduleItem", "TaskLevelSchedule", "build_schedule_items",
+        "dense_schedule_entries", "extract_schedule",
+        "format_dense_schedule", "schedule_from_result",
+        "validate_schedule",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -72,13 +72,13 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduler.adaptive import AdaptiveStore, net_family
 from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
 from repro.scheduler.policies import (
     default_portfolio,
@@ -88,7 +88,6 @@ from repro.scheduler.policies import (
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn.fastengine import SubtreeJob, export_job
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import StateEngine
 
 #: Frontier jobs exported per worker: enough imbalance absorption that
 #: an unlucky worker's huge subtree does not serialise the rest.
@@ -142,8 +141,11 @@ class SharedVisitedFilter:
             raise SchedulingError(
                 f"filter size must be a power of two >= 2, got {slots}"
             )
-        ctx = context if context is not None else get_context()
-        self._table = ctx.RawArray("Q", slots)
+        if context is None:
+            from multiprocessing import get_context
+
+            context = get_context()
+        self._table = context.RawArray("Q", slots)
         self._mask = slots - 1
         self._probes = 32
 
@@ -307,44 +309,6 @@ def split_frontier(
         seen_hashes=[state.hash64 for state in visited],
         stats=stats,
     )
-
-
-# ----------------------------------------------------------------------
-# Schedule validation (the determinism contract)
-# ----------------------------------------------------------------------
-def validate_with_reference(
-    net: CompiledNet,
-    config: SchedulerConfig,
-    schedule: list[tuple[str, int, int]],
-) -> None:
-    """Replay a firing schedule through the checked reference engine.
-
-    Every firing is validated against Definition 3.1 (enabledness,
-    admissible delay window under strong semantics) by
-    :meth:`StateEngine.fire`, and the final marking must satisfy
-    ``M_F``.  Raises :class:`SchedulingError` when the schedule is not
-    a legal feasible run — which would mean the producing search (a
-    parallel worker, or the dense state-class concretisation, which
-    shares this gate) returned garbage, so the error is loud rather
-    than folded into a verdict.
-    """
-    engine = StateEngine(net, reset_policy=config.reset_policy)
-    state = engine.initial_state()
-    index = net.transition_index
-    now = 0
-    for name, delay, at in schedule:
-        state = engine.fire(state, index[name], delay)
-        now += delay
-        if now != at:
-            raise SchedulingError(
-                f"schedule timestamp mismatch at {name!r}: "
-                f"recorded {at}, replayed {now}"
-            )
-    if not net.is_final(state.marking):
-        raise SchedulingError(
-            "schedule does not reach the final marking under the "
-            "reference engine"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -752,6 +716,10 @@ class ParallelScheduler:
                 "work-stealing mode requires the incremental engine "
                 "(the shared filter runs on FastState hashes)"
             )
+        # deferred: importing this module (say, for split_frontier)
+        # must not load multiprocessing; only a parallel search does
+        from multiprocessing import get_context
+
         try:
             self._context = get_context("fork")
         except ValueError:  # platforms without fork

@@ -29,35 +29,46 @@ See ``docs/service.md`` for the endpoint contract, the SSE event
 schema and dedup semantics.
 """
 
-from repro.service.app import (
-    ServiceThread,
-    SynthesisService,
-    run_in_thread,
-    serve,
-)
-from repro.service.http11 import HttpError, Request
-from repro.service.jobs import AuditLog, JobManager, JobRecord
-from repro.service.sse import (
-    EventQueue,
-    ServerEvent,
-    decode_stream,
-    encode_comment,
-    encode_event,
-)
+from importlib import import_module
 
-__all__ = [
-    "AuditLog",
-    "EventQueue",
-    "HttpError",
-    "JobManager",
-    "JobRecord",
-    "Request",
-    "ServerEvent",
-    "ServiceThread",
-    "SynthesisService",
-    "decode_stream",
-    "encode_comment",
-    "encode_event",
-    "run_in_thread",
-    "serve",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".app": (
+        "ServiceThread", "SynthesisService", "run_in_thread", "serve",
+    ),
+    ".http11": (
+        "HttpError", "Request",
+    ),
+    ".jobs": (
+        "AuditLog", "JobManager", "JobRecord",
+    ),
+    ".sse": (
+        "EventQueue", "ServerEvent", "decode_stream", "encode_comment",
+        "encode_event",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

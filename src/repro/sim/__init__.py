@@ -1,30 +1,45 @@
-"""Simulated execution substrate (hardware substitute, DESIGN.md S14)."""
+"""Simulated execution substrate: the dispatcher machine standing in
+for target hardware, net simulation and trace verification."""
 
-from repro.sim.machine import (
-    DispatcherMachine,
-    MachineResult,
-    run_schedule,
-)
-from repro.sim.netsim import (
-    NetSimRun,
-    NetSimulator,
-    WALK_POLICIES,
-    simulate_net,
-)
-from repro.sim.trace import EVENT_KINDS, Trace, TraceEvent
-from repro.sim.verifier import ensure_trace_ok, verify_trace
+from importlib import import_module
 
-__all__ = [
-    "DispatcherMachine",
-    "EVENT_KINDS",
-    "MachineResult",
-    "NetSimRun",
-    "NetSimulator",
-    "Trace",
-    "TraceEvent",
-    "WALK_POLICIES",
-    "ensure_trace_ok",
-    "run_schedule",
-    "simulate_net",
-    "verify_trace",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".machine": (
+        "DispatcherMachine", "MachineResult", "run_schedule",
+    ),
+    ".netsim": (
+        "NetSimRun", "NetSimulator", "WALK_POLICIES", "simulate_net",
+    ),
+    ".trace": (
+        "EVENT_KINDS", "Trace", "TraceEvent",
+    ),
+    ".verifier": (
+        "ensure_trace_ok", "verify_trace",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,117 +21,74 @@ Public surface:
   export.
 """
 
-from repro.tpn.analysis import (
-    BehaviouralReport,
-    behavioural_report,
-    check_invariants_on_graph,
-    classify,
-    incidence_matrix,
-    invariant_value,
-    is_conservative,
-    place_invariants,
-    transition_invariants,
-)
-from repro.tpn.dot import net_to_dot, reachability_to_dot
-from repro.tpn.fastengine import FastState, IncrementalEngine
-from repro.tpn.interval import INF, TimeInterval
-from repro.tpn.marking import MarkingView
-from repro.tpn.net import (
-    Arc,
-    CompiledNet,
-    Place,
-    ROLE_ARRIVAL,
-    ROLE_COMPUTE,
-    ROLE_DEADLINE_MISS,
-    ROLE_DEADLINE_OK,
-    ROLE_EXCLUSION,
-    ROLE_FINISH,
-    ROLE_FORK,
-    ROLE_GRANT,
-    ROLE_JOIN,
-    ROLE_MESSAGE,
-    ROLE_PHASE,
-    ROLE_PRECEDENCE,
-    ROLE_RELEASE,
-    TimePetriNet,
-    Transition,
-    net_union,
-)
-from repro.tpn.reachability import (
-    ReachabilityGraph,
-    explore,
-    find_state,
-    reachable_markings,
-)
-from repro.tpn.stateclass import (
-    RealizedSchedule,
-    StateClass,
-    StateClassEngine,
-    StateClassGraph,
-    build_state_class_graph,
-    realize_firing_sequence,
-)
-from repro.tpn.state import (
-    DISABLED,
-    FiringCandidate,
-    RESET_POLICIES,
-    State,
-    StateEngine,
-)
-from repro.tpn.tlts import TLTS, Action, Run
+from importlib import import_module
 
-__all__ = [
-    "Action",
-    "Arc",
-    "BehaviouralReport",
-    "CompiledNet",
-    "DISABLED",
-    "FastState",
-    "FiringCandidate",
-    "INF",
-    "IncrementalEngine",
-    "MarkingView",
-    "Place",
-    "ROLE_ARRIVAL",
-    "ROLE_COMPUTE",
-    "ROLE_DEADLINE_MISS",
-    "ROLE_DEADLINE_OK",
-    "ROLE_EXCLUSION",
-    "ROLE_FINISH",
-    "ROLE_FORK",
-    "ROLE_GRANT",
-    "ROLE_JOIN",
-    "ROLE_MESSAGE",
-    "ROLE_PHASE",
-    "ROLE_PRECEDENCE",
-    "ROLE_RELEASE",
-    "RESET_POLICIES",
-    "ReachabilityGraph",
-    "Run",
-    "State",
-    "RealizedSchedule",
-    "StateClass",
-    "StateClassEngine",
-    "StateClassGraph",
-    "StateEngine",
-    "TLTS",
-    "TimeInterval",
-    "TimePetriNet",
-    "Transition",
-    "behavioural_report",
-    "build_state_class_graph",
-    "check_invariants_on_graph",
-    "classify",
-    "explore",
-    "find_state",
-    "incidence_matrix",
-    "invariant_value",
-    "is_conservative",
-    "net_to_dot",
-    "net_union",
-    "place_invariants",
-    "reachability_to_dot",
-    "reachable_markings",
-    "realize_firing_sequence",
-    "transition_invariants",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULES = {
+    ".analysis": (
+        "BehaviouralReport", "behavioural_report",
+        "check_invariants_on_graph", "classify", "incidence_matrix",
+        "invariant_value", "is_conservative", "place_invariants",
+        "transition_invariants",
+    ),
+    ".dot": (
+        "net_to_dot", "reachability_to_dot",
+    ),
+    ".fastengine": (
+        "FastState", "IncrementalEngine",
+    ),
+    ".interval": (
+        "INF", "TimeInterval",
+    ),
+    ".marking": (
+        "MarkingView",
+    ),
+    ".net": (
+        "Arc", "CompiledNet", "Place", "ROLE_ARRIVAL", "ROLE_COMPUTE",
+        "ROLE_DEADLINE_MISS", "ROLE_DEADLINE_OK", "ROLE_EXCLUSION",
+        "ROLE_FINISH", "ROLE_FORK", "ROLE_GRANT", "ROLE_JOIN",
+        "ROLE_MESSAGE", "ROLE_PHASE", "ROLE_PRECEDENCE", "ROLE_RELEASE",
+        "TimePetriNet", "Transition", "net_union",
+    ),
+    ".reachability": (
+        "ReachabilityGraph", "explore", "find_state",
+        "reachable_markings",
+    ),
+    ".stateclass": (
+        "RealizedSchedule", "StateClass", "StateClassEngine",
+        "StateClassGraph", "build_state_class_graph",
+        "realize_firing_sequence",
+    ),
+    ".state": (
+        "DISABLED", "FiringCandidate", "RESET_POLICIES", "State",
+        "StateEngine",
+    ),
+    ".tlts": (
+        "TLTS", "Action", "Run",
+    ),
+}
+
+#: public name -> defining submodule
+_EXPORTS = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: import the defining submodule on first access and cache
+    # the value, so a process pays only for the layers it uses
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,6 +25,7 @@ from repro.batch.job import (
 )
 from repro.blocks.composer import compose
 from repro.cli import main as cli_main
+from repro.errors import SchedulingError
 from repro.lint import (
     ERROR,
     WARNING,
@@ -60,12 +61,13 @@ from repro.spec import (
     dumps,
     fig3_precedence,
     fig4_exclusion,
+    load,
     mine_pump,
 )
 from repro.spec.model import EzRTSpec, Task
 from repro.tpn.dbm import MAX_BOUND
 from repro.tpn.interval import INF, TimeInterval
-from repro.tpn.kernel import MAX_TOKENS
+from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
 from repro.tpn.net import TimePetriNet
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -357,6 +359,33 @@ class TestNetRules:
 
     def test_small_spec_has_no_token_cap_finding(self):
         assert token_cap_diagnostics(mine_pump(), engine="kernel") == []
+
+    def test_hyper_period_past_kernel_clock_cap(self):
+        # periods of 70 ms and 80 ms in µs: hyper-period 560000, far
+        # past the kernel's uint16 clocks
+        spec = load(os.path.join(FIXTURES, "kernel_clock_cap.xml"))
+        diagnostics = lint_spec(spec, engine="kernel")
+        assert codes(diagnostics) == ["EZT203"]
+        assert diagnostics[0].severity == WARNING
+        assert f"{MAX_CLOCK} clock cap" in diagnostics[0].message
+        assert "abort mid-search" in diagnostics[0].message
+        assert "EZT203" in codes(
+            presearch_diagnostics(spec, engine="kernel")
+        )
+        # the warning is kernel-specific ...
+        assert lint_spec(spec, engine="incremental") == []
+        # ... and justified: the kernel does overflow mid-search,
+        # while the default engine schedules the spec
+        with pytest.raises(SchedulingError, match="clock overflow"):
+            find_schedule(compose(spec), SchedulerConfig(engine="kernel"))
+        result = find_schedule(
+            compose(spec), SchedulerConfig(engine="incremental")
+        )
+        assert result.feasible
+        assert result.stats.states_visited == 63
+        # the paper's case studies fit the cap
+        for study in (fig3_precedence(), mine_pump()):
+            assert lint_spec(study, engine="kernel") == []
 
     def test_net_interval_over_dbm_bound_cap(self):
         net = TimePetriNet("wide")
