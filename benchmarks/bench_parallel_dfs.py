@@ -96,6 +96,12 @@ FROZEN_BASELINE_PATH = os.path.join(
 )
 
 
+#: The discrete engine the curves run on, pinned rather than taken from
+#: the default so that the curves and gates keep measuring what they
+#: were baselined on.
+ENGINE = "incremental"
+
+
 def _end_to_end(spec, config):
     """Median-free min-of-N full synthesis latency."""
     times = []
@@ -110,11 +116,11 @@ def _end_to_end(spec, config):
 
 def _portfolio_curve():
     spec = hard_portfolio_task_set()
-    serial, serial_s = _end_to_end(spec, SchedulerConfig())
+    serial, serial_s = _end_to_end(spec, SchedulerConfig(engine=ENGINE))
     rows = []
     for workers in WORKER_CURVE:
         result, seconds = _end_to_end(
-            spec, SchedulerConfig(parallel=workers)
+            spec, SchedulerConfig(engine=ENGINE, parallel=workers)
         )
         assert result.feasible == serial.feasible, (
             f"portfolio verdict diverged at {workers} workers"
@@ -142,12 +148,12 @@ def _portfolio_curve():
 def _worksteal_curve():
     # exhaustively infeasible: ~7k states to refute, fully decidable
     spec = random_task_set(6, 0.95, seed=3, deadline_slack=0.6)
-    serial, serial_s = _end_to_end(spec, SchedulerConfig())
+    serial, serial_s = _end_to_end(spec, SchedulerConfig(engine=ENGINE))
     assert not serial.feasible and not serial.exhausted
     rows = []
     for workers in WORKER_CURVE:
         config = SchedulerConfig(
-            parallel=workers, parallel_mode="worksteal"
+            engine=ENGINE, parallel=workers, parallel_mode="worksteal"
         )
         result, seconds = _end_to_end(spec, config)
         assert result.feasible == serial.feasible, (
@@ -186,7 +192,7 @@ def _mixed_engine_curve():
     The stateclass slot must win (ISSUE 5 acceptance gate).
     """
     net = wide_interval_race_net().compile()
-    serial_config = SchedulerConfig(delay_mode="full")
+    serial_config = SchedulerConfig(engine=ENGINE, delay_mode="full")
     times = []
     serial = None
     for _ in range(ROUNDS):
@@ -197,6 +203,7 @@ def _mixed_engine_curve():
     assert not serial.feasible and not serial.exhausted
 
     config = SchedulerConfig(
+        engine=ENGINE,
         delay_mode="full",
         parallel=2,
         portfolio=("incremental:earliest", "stateclass:earliest"),
@@ -315,7 +322,7 @@ def _hotpath_regression():
     for _name, spec, _family in _hotpath_workloads():
         net = compose(spec).compiled()
         scheduler = PreRuntimeScheduler(
-            net, SchedulerConfig(), engine="incremental"
+            net, SchedulerConfig(), engine=ENGINE
         )
         result = scheduler.search()  # warm-up
         times = []

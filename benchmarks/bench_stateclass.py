@@ -64,7 +64,8 @@ def _wide_interval_rows():
         compiled = net.compile()
         dense = search(compiled, SchedulerConfig(engine="stateclass"))
         discrete = search(
-            compiled, SchedulerConfig(delay_mode="full")
+            compiled,
+            SchedulerConfig(engine="incremental", delay_mode="full"),
         )
         assert not dense.feasible and not dense.exhausted, (
             f"{label}: dense refutation did not complete"
@@ -99,7 +100,9 @@ def _paper_model_rows():
         dense = find_schedule(
             model, SchedulerConfig(engine="stateclass")
         )
-        discrete = find_schedule(model, SchedulerConfig())
+        discrete = find_schedule(
+            model, SchedulerConfig(engine="incremental")
+        )
         assert dense.feasible == discrete.feasible, (
             f"{spec.name}: dense verdict diverged from discrete"
         )

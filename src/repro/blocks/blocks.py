@@ -26,7 +26,8 @@ Tasks are modelled by composing seven block types into one net:
 * **processor** — a single-token resource place used mutually
   exclusively by all grants.
 
-Two *styles* are generated (see DESIGN.md, "state counting"):
+Two *styles* are generated; they differ in how many firings (and so
+states) an instance costs:
 
 * ``COMPACT`` (default) folds the finish/deadline-cancel bookkeeping
   into the computation's last firing, so a non-preemptive instance

@@ -172,9 +172,10 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=SchedulerConfig.engine,
         help=(
             "successor engine (default: %(default)s): the O(degree) "
-            "incremental hot path, the packed-buffer kernel (flat "
-            "state buffers with an optional compiled C inner loop and "
-            "a pure-Python fallback), the checked reference "
+            "incremental engine (fastest without a C compiler), the "
+            "packed-buffer kernel (flat 32-bit state words with an "
+            "optional compiled C inner loop and a pure-Python "
+            "fallback), the checked reference "
             "semantics, or the dense-time state-class engine "
             "(searches Berthomieu-Diaz classes and concretises the "
             "schedule back to integer time)"

@@ -55,7 +55,8 @@ class GeneratedProject:
 
         Only host-simulation targets are runnable; embedded targets
         raise :class:`CodeGenError` (their toolchains are not part of
-        this repository — the substitution DESIGN.md documents).
+        this repository; the host-simulation targets stand in for
+        them).
         """
         if not self.target.runnable:
             raise CodeGenError(

@@ -12,7 +12,7 @@ Three rule families, all pure functions returning
 * **net rules** (``EZT2xx``) — structural checks on a compiled time
   Petri net: transitions that can never fire, places that can never be
   marked, token counts that threaten the packed kernel engine's
-  ``uint16`` cap;
+  ``uint32`` cap;
 * **configuration rules** (``EZG3xx``) — engine/knob combinations the
   scheduler would reject at construction time, checkable on raw
   strings *before* a :class:`~repro.scheduler.config.SchedulerConfig`
@@ -303,12 +303,12 @@ def token_cap_diagnostics(
 
     A task with ``N = PS / p`` instances marks instance-counting
     places with up to ``N`` tokens over the hyper-period; the packed
-    kernel engine stores markings as ``uint16`` words and refuses
+    kernel engine stores markings as ``uint32`` words and refuses
     loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`.  This
     surfaces the overflow *before* the search (and before a compile
     that would unroll the instances).
 
-    The kernel's clocks are ``uint16`` words too, and it aborts
+    The kernel's clocks are ``uint32`` words too, and it aborts
     mid-search once one passes :data:`repro.tpn.kernel.MAX_CLOCK`.
     No clock can exceed the elapsed time, which is at most the
     hyper-period, so a hyper-period within the cap proves the search
@@ -609,6 +609,7 @@ def config_diagnostics(
         DELAY_MODES,
         ENGINES,
         PARALLEL_MODES,
+        WORKSTEAL_ENGINES,
     )
 
     diagnostics: list[Diagnostic] = []
@@ -647,7 +648,8 @@ def config_diagnostics(
     if (
         parallel >= 2
         and parallel_mode == "worksteal"
-        and engine not in (None, "incremental")
+        and engine is not None
+        and engine not in WORKSTEAL_ENGINES
     ):
         diagnostics.append(
             Diagnostic(
@@ -655,11 +657,12 @@ def config_diagnostics(
                 severity=ERROR,
                 message=(
                     f"work-stealing mode cannot drive the {engine!r} "
-                    "engine: the shared visited filter runs on the "
-                    "incremental engine's FastState hashes"
+                    "engine: subtree jobs and the shared visited "
+                    "filter need the exportable states and 64-bit "
+                    f"keys of {WORKSTEAL_ENGINES}"
                 ),
                 hint=(
-                    "use engine='incremental' or "
+                    "use engine='kernel' (the default) or "
                     "parallel_mode='portfolio'"
                 ),
                 element="config.parallel_mode",

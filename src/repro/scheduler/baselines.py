@@ -106,8 +106,8 @@ def simulate_runtime(
     * instance ``k`` of a task may not start before instance ``k`` of
       each predecessor task has finished; message-mediated precedence
       additionally delays readiness by the bus grant and communication
-      times (an infinite-capacity bus — a simplification recorded in
-      DESIGN.md, adequate for baseline comparisons).
+      times (an infinite-capacity bus — a simplification, adequate for
+      baseline comparisons).
     """
     if policy not in RUNTIME_POLICIES:
         raise SchedulingError(

@@ -22,15 +22,19 @@ the ablation benches sweep:
 * ``reset_policy`` — clock-reset semantics (see
   :mod:`repro.tpn.state`);
 * ``engine`` — the successor engine driving the search:
-  ``"incremental"`` (the O(degree) discrete-time hot path, default),
-  ``"kernel"`` (the packed-buffer kernel of :mod:`repro.tpn.kernel`
-  — flat marking/clock buffers, incremental 64-bit state keys, and
-  an optional compiled C inner loop with a pure-Python fallback),
-  ``"reference"`` (the checked discrete semantics baseline) or
-  ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class
-  engine of :mod:`repro.tpn.stateclass`, which searches difference-
-  bound classes instead of integer clock valuations and concretises
-  any feasible dense schedule back to integer firing times);
+  ``"kernel"`` (the default: the packed-buffer kernel of
+  :mod:`repro.tpn.kernel` — flat 32-bit marking/clock words capped at
+  4294967295 tokens per place and 4294967294 time units per clock,
+  incremental 64-bit state keys, and an optional compiled C inner
+  loop with a pure-Python fallback), ``"incremental"`` (the
+  O(degree) tuple-based discrete-time engine; on hosts without a C
+  compiler the kernel's pure fallback runs at about 0.8× its speed),
+  ``"reference"`` (the checked discrete semantics
+  baseline) or ``"stateclass"`` (the dense-time Berthomieu–Diaz
+  state-class engine of :mod:`repro.tpn.stateclass`, which searches
+  difference-bound classes instead of integer clock valuations and
+  concretises any feasible dense schedule back to integer firing
+  times);
 * resource limits (``max_states``, ``max_seconds``);
 * ``policy`` — the candidate *ordering* used by a serial search (see
   :mod:`repro.scheduler.policies`); orderings never change the verdict,
@@ -39,7 +43,8 @@ the ablation benches sweep:
   the search serial), ``parallel_mode`` (``"portfolio"`` races
   independent policies and the first definitive verdict wins;
   ``"worksteal"`` splits the root frontier into subtree jobs that
-  workers drain against a shared visited filter) and ``portfolio``
+  workers drain against a shared visited filter; it runs on the
+  ``kernel`` or ``incremental`` engine) and ``portfolio``
   (explicit slot list for the race; empty picks the default
   rotation of :func:`repro.scheduler.policies.default_portfolio`).
   A portfolio slot is ``"[engine:]policy[:seed]"`` — prefixing a
@@ -72,6 +77,11 @@ PARALLEL_MODES = ("portfolio", "worksteal")
 #: ``stateclass`` searches the dense-time state-class graph.
 ENGINES = ("incremental", "kernel", "reference", "stateclass")
 
+#: Engines work-stealing can partition: their states revive from the
+#: canonical ``(marking, clocks)`` pair a subtree job ships and carry
+#: the 64-bit key the shared visited filter claims.
+WORKSTEAL_ENGINES = ("kernel", "incremental")
+
 
 @dataclass
 class SchedulerConfig:
@@ -81,7 +91,7 @@ class SchedulerConfig:
     delay_mode: str = "earliest"
     partial_order: bool = True
     reset_policy: str = "paper"
-    engine: str = "incremental"
+    engine: str = "kernel"
     max_states: int = 2_000_000
     max_seconds: float | None = None
     policy: str = "earliest"
@@ -150,11 +160,11 @@ class SchedulerConfig:
         if (
             self.parallel >= 2
             and self.parallel_mode == "worksteal"
-            and self.engine != "incremental"
+            and self.engine not in WORKSTEAL_ENGINES
         ):
             raise SchedulingError(
-                "work-stealing mode requires the incremental engine "
-                "(the shared filter runs on FastState hashes)"
+                "work-stealing mode requires a discrete engine with "
+                f"exportable states, one of {WORKSTEAL_ENGINES}"
             )
         from repro.scheduler.policies import parse_slot
 

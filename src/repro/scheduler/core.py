@@ -8,15 +8,17 @@ is gone: :class:`SearchCore` is the *single* DFS loop, parameterized
 over the :class:`EngineAdapter` protocol, and the four engines plug
 in through thin adapters:
 
+* :class:`KernelAdapter` — the default engine: the packed-buffer
+  kernel over :class:`~repro.tpn.kernel.KernelEngine` (flat
+  ``array('I')`` 32-bit marking/clock state buffers, incremental
+  64-bit Zobrist state keys, and an optional compiled C core running
+  the successor/firable/min-DUB inner loop on the same buffers — the
+  fastest engine when the native core is built);
 * :class:`IncrementalAdapter` — the tuple-based hot path over
   :class:`~repro.tpn.fastengine.IncrementalEngine` (O(degree)
-  successors, queue-extracted candidate windows);
-* :class:`KernelAdapter` — the packed-buffer kernel over
-  :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
-  marking/clock state buffers, incremental 64-bit Zobrist state
-  keys, and an optional compiled C core running the
-  successor/firable/min-DUB inner loop on the same buffers — the
-  fastest engine when the native core is built);
+  successors, queue-extracted candidate windows), kept selectable for
+  hosts without a C compiler, where it outruns the kernel's
+  pure-Python fallback;
 * :class:`ReferenceAdapter` — the measured baseline over the checked
   :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
   dense candidate scans over all of T);
@@ -53,17 +55,18 @@ from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.result import SchedulerResult, SearchStats
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import DISABLED, State, StateEngine
 
-# The packed kernel (repro.tpn.kernel) and the dense stack
-# (repro.tpn.dbm, repro.tpn.stateclass) are imported by their adapters
-# when built: a discrete search never loads the DBM core, and a cold
-# process pays only for the engine it runs.
+# Every engine module — the packed kernel (repro.tpn.kernel), the
+# incremental engine (repro.tpn.fastengine) and the dense stack
+# (repro.tpn.dbm, repro.tpn.stateclass) — is imported by its adapter
+# when built: a default search never loads the incremental or the DBM
+# engine, and a cold process pays only for the engine it runs.
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
+    from repro.tpn.fastengine import FastState
     from repro.tpn.kernel import KernelState
 
 # check the wall clock every 1024 expansions; the budget is measured
@@ -115,8 +118,8 @@ class EngineAdapter(Protocol):
     * ``name`` — the engine's registry name (``"incremental"``,
       ``"kernel"``, ``"reference"``, ``"stateclass"``);
     * ``engine`` — the wrapped engine instance (orchestration layers
-      reach through for engine-specific plumbing such as
-      :meth:`~repro.tpn.fastengine.IncrementalEngine.revive`);
+      reach through for engine-specific plumbing such as the
+      work-stealing handoff's ``lift``);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
       adapter: a predicate can only change when the fired transition
@@ -296,33 +299,53 @@ class _AdapterBase:
         return [(names[t], q, at) for t, q, at in actions], None
 
 
-class IncrementalAdapter(_AdapterBase):
-    """The production hot path over :class:`IncrementalEngine`."""
+class _SubtreeAdapter(_AdapterBase):
+    """Subtree roots for the engines work-stealing can partition.
+
+    A work-stealing worker searches below a frontier state instead of
+    the initial one: :meth:`revive` rebuilds that state from the
+    canonical ``(marking, clocks)`` pair a
+    :class:`~repro.tpn.fastengine.SubtreeJob` ships (both engines'
+    ``lift`` takes a reference :class:`State`), and :meth:`set_root`
+    injects it.  :meth:`state_key` is the engine's precomputed 64-bit
+    state hash, the key the shared visited filter claims.
+    """
+
+    _root = None
+    _root_now = 0
+
+    def set_root(self, root, now: int) -> None:
+        """Inject a subtree root (work-stealing); ``None`` resets."""
+        self._root = root
+        self._root_now = now
+
+    def root(self):
+        if self._root is not None:
+            return self._root, self._root_now
+        return self.engine.initial(), 0
+
+    def revive(self, marking: tuple[int, ...], clocks: tuple[int, ...]):
+        """The engine state of a canonical ``(marking, clocks)`` pair."""
+        return self.engine.lift(State(marking, clocks))
+
+    def state_key(self, state) -> int:
+        return state._hash
+
+
+class IncrementalAdapter(_SubtreeAdapter):
+    """The tuple-based hot path over :class:`IncrementalEngine`."""
 
     name = "incremental"
 
     def __init__(self, net: CompiledNet, config):
+        from repro.tpn.fastengine import IncrementalEngine
+
         super().__init__(net, config)
         self.engine = IncrementalEngine(
             net, reset_policy=config.reset_policy
         )
         # bound method, not a wrapper: the core hoists it into a local
         self.successor = self.engine.successor
-        self._root: FastState | None = None
-        self._root_now = 0
-
-    def set_root(self, root: FastState | None, now: int) -> None:
-        """Inject a subtree root (work-stealing); ``None`` resets."""
-        self._root = root
-        self._root_now = now
-
-    def root(self) -> tuple[FastState, int]:
-        if self._root is not None:
-            return self._root, self._root_now
-        return self.engine.initial(), 0
-
-    def state_key(self, state: FastState) -> int:
-        return state._hash
 
     def candidates_of(
         self, state: FastState, stats: SearchStats
@@ -406,7 +429,7 @@ class IncrementalAdapter(_AdapterBase):
         )
 
 
-class KernelAdapter(_AdapterBase):
+class KernelAdapter(_SubtreeAdapter):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
     States are two flat buffers plus an incremental 64-bit Zobrist
@@ -420,7 +443,7 @@ class KernelAdapter(_AdapterBase):
     shared expansion helpers, using the engine's packed partial-order
     variant (the tuple-based :func:`forced_immediate` reads
     enabledness as ``clocks[t] >= 0`` and cannot run on the
-    ``0xFFFF``-sentinel clock buffer).
+    ``0xFFFFFFFF``-sentinel clock buffer).
     """
 
     name = "kernel"
@@ -441,10 +464,7 @@ class KernelAdapter(_AdapterBase):
             cat="kernel",
             native=self.engine.native,
         )
-        return self.engine.initial(), 0
-
-    def state_key(self, state: KernelState) -> int:
-        return state._hash
+        return super().root()
 
     def candidates_of(
         self, state: KernelState, stats: SearchStats

@@ -13,7 +13,7 @@ containers, ``policies.py`` the alternative candidate orderings,
 ``adaptive.py`` the portfolio-seeding statistics, and ``parallel.py``
 races or partitions the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
-:meth:`repro.scheduler.core.IncrementalAdapter.candidates_of` (how one
+:meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
 state's successor choices are enumerated).
 
 The algorithm explores the timed labeled transition system derived from
@@ -25,18 +25,22 @@ schedulable under the searched policy.
 Four successor engines drive the expansion, each wrapped by a thin
 adapter behind the shared loop:
 
-* ``engine="incremental"`` (default) — the
+* ``engine="kernel"`` (default) — the packed-buffer
+  :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
+  flat unsigned 32-bit word buffers (up to 4294967295 tokens per place,
+  clocks up to 4294967294 time units, so µs-scaled hyper-periods fit)
+  with an incrementally maintained 64-bit Zobrist state key, and the
+  successor/firable/min-DUB inner loop runs in an optional compiled C
+  core (:mod:`repro.tpn._kernelc`) with a semantics-identical
+  pure-Python fallback — the fastest engine when the native core is
+  built;
+* ``engine="incremental"`` — the
   :class:`~repro.tpn.fastengine.IncrementalEngine` hot path: O(degree)
   successor computation over the compile-time ``affected`` adjacency,
   compact :class:`~repro.tpn.fastengine.FastState` states with cached
-  hashes and enabled sets;
-* ``engine="kernel"`` — the packed-buffer
-  :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
-  flat byte/word buffers with an incrementally maintained 64-bit
-  Zobrist state key, and the successor/firable/min-DUB inner loop runs
-  in an optional compiled C core (:mod:`repro.tpn._kernelc`) with a
-  semantics-identical pure-Python fallback — the fastest engine when
-  the native core is built;
+  hashes and enabled sets.  Without a C compiler the kernel runs its
+  pure-Python fallback at about 0.8× this engine's speed, so such
+  hosts may prefer ``--engine incremental``;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
   kept as the baseline the benchmarks and the CI smoke job
@@ -53,17 +57,26 @@ adapter behind the shared loop:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressPrinter
-from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.config import (
+    ENGINES,
+    WORKSTEAL_ENGINES,
+    SchedulerConfig,
+)
 from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.net import CompiledNet
+
+if TYPE_CHECKING:
+    from repro.tpn.fastengine import IncrementalEngine
+    from repro.tpn.kernel import KernelEngine
 
 
 class PreRuntimeScheduler:
@@ -162,12 +175,12 @@ class PreRuntimeScheduler:
             )
 
     @property
-    def fast(self) -> IncrementalEngine:
-        """The incremental successor engine (work-stealing handoff)."""
-        if self.engine_mode != "incremental":
+    def fast(self) -> KernelEngine | IncrementalEngine:
+        """The discrete successor engine (work-stealing handoff)."""
+        if self.engine_mode not in WORKSTEAL_ENGINES:
             raise SchedulingError(
-                "only the incremental adapter carries a FastState "
-                "engine"
+                f"the {self.engine_mode!r} engine has no work-stealing "
+                f"handoff; use one of {WORKSTEAL_ENGINES}"
             )
         return self.adapter.engine
 
@@ -186,19 +199,20 @@ class PreRuntimeScheduler:
             resplit=self.resplit,
         ).run()
 
-    def search_from(self, root: FastState, now: int) -> SchedulerResult:
+    def search_from(self, root, now: int) -> SchedulerResult:
         """Run the DFS from a subtree root instead of the initial state.
 
         Used by the work-stealing mode: ``root`` is a frontier state
         exported by :func:`repro.scheduler.parallel.split_frontier` and
-        ``now`` the absolute time its prefix ends at, so the returned
-        ``firing_schedule`` carries absolute times that concatenate
-        directly onto the prefix.  Incremental engine only (the root is
-        a :class:`FastState`).
+        revived by this scheduler's adapter, and ``now`` the absolute
+        time its prefix ends at, so the returned ``firing_schedule``
+        carries absolute times that concatenate directly onto the
+        prefix.  Kernel and incremental engines only.
         """
-        if self.engine_mode != "incremental":
+        if self.engine_mode not in WORKSTEAL_ENGINES:
             raise SchedulingError(
-                "subtree search requires the incremental engine"
+                "subtree search requires one of the engines "
+                f"{WORKSTEAL_ENGINES}"
             )
         self.adapter.set_root(root, now)
         try:

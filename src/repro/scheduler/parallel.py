@@ -28,7 +28,9 @@ the same worker plumbing:
   workers drain the job queue, searching subtrees against a
   **shared visited filter** (:class:`SharedVisitedFilter`, a
   hash-compacted open-addressing table in multiprocessing shared
-  memory over the ``FastState`` precomputed hashes).  A state claimed
+  memory over the engine's precomputed 64-bit state keys).  It runs
+  on the configured engine when that is ``kernel`` (the default) or
+  ``incremental``.  A state claimed
   by one worker is skipped by all others, so the union of the subtree
   searches covers the serial search space without re-exploration; with
   real cores the exhaustive (infeasible) case scales with the worker
@@ -77,7 +79,11 @@ from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduler.adaptive import AdaptiveStore, net_family
-from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.config import (
+    ENGINES,
+    WORKSTEAL_ENGINES,
+    SchedulerConfig,
+)
 from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
 from repro.scheduler.policies import (
@@ -217,13 +223,13 @@ def split_frontier(
     final-marking detection as the serial DFS, so any verdict reached
     *during* the split is already the serial verdict.  The frontier is
     expanded shallowest-first, which keeps the exported ``_Frame``
-    prefixes short and the subtree sizes comparable.
+    prefixes short and the subtree sizes comparable.  Runs on
+    ``config.engine``, which must be one of
+    :data:`~repro.scheduler.config.WORKSTEAL_ENGINES`.
     """
-    scheduler = PreRuntimeScheduler(
-        net, replace(config, parallel=0), engine="incremental"
-    )
+    scheduler = PreRuntimeScheduler(net, replace(config, parallel=0))
     adapter = scheduler.adapter
-    fast = adapter.engine
+    fast = scheduler.fast
     stats = SearchStats()
     started = time.monotonic()
 
@@ -243,6 +249,7 @@ def split_frontier(
         )
 
     candidates_of = adapter.candidates_of
+    clocks_view = adapter.clocks_view
     reorder = scheduler._reorder
     touches_miss = net.touches_miss
     touches_final = net.touches_final
@@ -256,7 +263,7 @@ def split_frontier(
         state, now, prefix = frontier.popleft()
         candidates = candidates_of(state, stats)
         if reorder is not None:
-            candidates = reorder(candidates, state)
+            candidates = reorder(candidates, clocks_view(state))
         expansions += 1
         for transition, delay in candidates:
             stats.states_generated += 1
@@ -306,7 +313,7 @@ def split_frontier(
     ]
     return FrontierSplit(
         jobs=jobs,
-        seen_hashes=[state.hash64 for state in visited],
+        seen_hashes=[adapter.state_key(state) for state in visited],
         stats=stats,
     )
 
@@ -570,9 +577,7 @@ def _worksteal_worker(
     metrics = MetricsRegistry()
     worker_started = time.monotonic()
     try:
-        scheduler = PreRuntimeScheduler(
-            net, replace(config, parallel=0), engine="incremental"
-        )
+        scheduler = PreRuntimeScheduler(net, replace(config, parallel=0))
         scheduler.shared_filter = visited_filter
         scheduler.metrics = metrics
         resplitter = _Resplitter(jobs, outstanding, n_workers, metrics)
@@ -609,7 +614,7 @@ def _worksteal_worker(
             metrics.inc("worksteal.jobs_stolen")
             metrics.inc(f"worker.{index}.jobs_stolen")
             resplitter.begin_job(job.prefix)
-            root = scheduler.fast.revive(job.marking, job.clocks)
+            root = scheduler.adapter.revive(job.marking, job.clocks)
             try:
                 result = scheduler.search_from(root, job.now)
             finally:
@@ -710,11 +715,11 @@ class ParallelScheduler:
             )
         if (
             self.config.parallel_mode == "worksteal"
-            and engine != "incremental"
+            and engine not in WORKSTEAL_ENGINES
         ):
             raise SchedulingError(
-                "work-stealing mode requires the incremental engine "
-                "(the shared filter runs on FastState hashes)"
+                "work-stealing mode requires a discrete engine with "
+                f"exportable states, one of {WORKSTEAL_ENGINES}"
             )
         # deferred: importing this module (say, for split_frontier)
         # must not load multiprocessing; only a parallel search does
@@ -924,10 +929,15 @@ class ParallelScheduler:
     # ------------------------------------------------------------------
     def _search_worksteal(self) -> SchedulerResult:
         config = self.config
+        # the split and the workers run on this scheduler's engine (an
+        # explicit engine argument overrides config.engine)
+        search_config = replace(config, engine=self.engine_mode)
         started = time.monotonic()
         n_workers = config.parallel
         split = split_frontier(
-            self.net, config, target_jobs=n_workers * JOBS_PER_WORKER
+            self.net,
+            search_config,
+            target_jobs=n_workers * JOBS_PER_WORKER,
         )
         if split.result is not None:
             # the split finished the search serially: no worker ran,
@@ -963,7 +973,7 @@ class ParallelScheduler:
                 args=(
                     index,
                     self.net,
-                    config,
+                    search_config,
                     jobs,
                     results,
                     cancel,

@@ -111,8 +111,8 @@ class SchedulerResult:
             produced the verdict (e.g. ``"random:1"``); ``None`` for
             serial and work-stealing searches.
         winner_engine: in a portfolio race, the successor engine of
-            the winning slot (``"incremental"``, ``"reference"`` or
-            ``"stateclass"``); with engine-aware slots this can differ
+            the winning slot (``"kernel"``, ``"incremental"``,
+            ``"reference"`` or ``"stateclass"``); with engine-aware slots this can differ
             from ``config.engine``.  ``None`` outside portfolio races.
         workers: worker processes used (1 for a serial search).
         interval_schedule: dense-time companion of

@@ -11,8 +11,8 @@
 * :func:`fig8_preemptive` — a four-task preemptive set whose
   synthesised schedule table has the shape of Fig. 8 (two instances of
   A/B/C, one of D, multiple preemptions and resumes).  The paper does
-  not give this example's parameters; these are reverse-engineered and
-  recorded in EXPERIMENTS.md.
+  not give this example's parameters; these are reverse-engineered,
+  and ``tests/test_paper_results.py`` pins the table shape they yield.
 """
 
 from __future__ import annotations

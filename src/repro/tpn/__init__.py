@@ -11,8 +11,9 @@ Public surface:
   checked reference semantics (Definition 3.1,
   ``ET``/``FT``/``DLB``/``DUB``);
 * :class:`FastState`, :class:`IncrementalEngine` — the O(degree)
-  incremental successor engine driving the search/reachability/
-  simulation hot paths;
+  incremental successor engine driving the reachability/simulation
+  hot paths (the default search runs the packed kernel of
+  :mod:`repro.tpn.kernel`);
 * :class:`TLTS`, :class:`Run`, :class:`Action` — labeled runs and the
   feasibility predicate (Definition 3.2);
 * :func:`explore`, :class:`ReachabilityGraph` — bounded state-space

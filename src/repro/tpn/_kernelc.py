@@ -15,7 +15,7 @@ module and falls back to its pure-Python core whenever the answer is
   exception on :data:`LOAD_ERROR` for diagnostics.
 
 The C core operates *in place* on the same packed buffers the Python
-side owns (``array('H')`` marking and clock vectors), so
+side owns (``array('I')`` marking and clock vectors), so
 there is no per-state marshalling: one successor computation is two
 buffer copies on the Python side plus a single foreign call.
 
@@ -32,11 +32,11 @@ CI builds eagerly via ``python -m repro.tpn._kernelc``; see
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import os
 import sys
 import tempfile
+import zlib
 
 #: Last build/import failure, for diagnostics (``None`` = no failure).
 LOAD_ERROR: Exception | None = None
@@ -60,18 +60,18 @@ kn_net *kn_net_new(int32_t num_places, int32_t num_transitions,
                    const int32_t *eft, const int32_t *lft,
                    const int32_t *prio, const uint8_t *flags);
 void kn_net_free(kn_net *net);
-uint64_t kn_hash(const kn_net *net, const uint16_t *mark,
-                 const uint16_t *clk);
-int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
-                     const uint16_t *old_clk, uint16_t *mark,
-                     uint16_t *clk, uint64_t *hash_io, int32_t t,
-                     int32_t q, int32_t intermediate);
-int32_t kn_candidates(const kn_net *net, const uint16_t *clk,
+uint64_t kn_hash(const kn_net *net, const uint32_t *mark,
+                 const uint32_t *clk);
+int32_t kn_successor(const kn_net *net, const uint32_t *old_mark,
+                     const uint32_t *old_clk, uint32_t *mark,
+                     uint32_t *clk, uint64_t *hash_io, int32_t t,
+                     int64_t q, int32_t intermediate);
+int32_t kn_candidates(const kn_net *net, const uint32_t *clk,
                       int32_t strict, int32_t partial_order,
                       int32_t *out, int32_t *reduced);
-int32_t kn_window(const kn_net *net, const uint16_t *clk,
+int32_t kn_window(const kn_net *net, const uint32_t *clk,
                   int32_t *out, int32_t *ceiling_out);
-int32_t kn_expand(const kn_net *net, const uint16_t *clk,
+int32_t kn_expand(const kn_net *net, const uint32_t *clk,
                   int32_t strict, int32_t partial_order,
                   int32_t full, int32_t *out, int32_t cap,
                   int32_t *reduced);
@@ -82,7 +82,7 @@ int32_t kn_expand(const kn_net *net, const uint16_t *clk,
 # repro.tpn.kernel.KernelEngine (which mirrors the checked reference
 # engine of repro.tpn.state); the two are locked together by the
 # native-vs-pure differential suite in tests/test_kernel_engine.py.
-# DIS (0xFFFF) marks a disabled transition's clock; lft < 0 encodes an
+# DIS (0xFFFFFFFF) marks a disabled transition's clock; lft < 0 encodes an
 # unbounded LFT; flag bits: 1 = immediate [0,0], 2 = deadline-miss,
 # 4 = structurally conflict-free.
 SOURCE = r"""
@@ -90,8 +90,8 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-#define KN_DIS 0xFFFFu
-#define KN_INF_CEILING INT32_MAX
+#define KN_DIS 0xFFFFFFFFu
+#define KN_INF_CEILING INT64_MAX
 
 typedef struct kn_net {
     int32_t P, T;
@@ -101,7 +101,7 @@ typedef struct kn_net {
     const int32_t *pc_off, *pc_t;
     const int32_t *eft, *lft, *prio;
     const uint8_t *flags;
-    uint16_t *scratch; /* P words: intermediate-marking reference */
+    uint32_t *scratch; /* P words: intermediate-marking reference */
     int32_t *cand;     /* 2T words: pre-expansion candidate pairs */
 } kn_net;
 
@@ -134,8 +134,8 @@ kn_net *kn_net_new(int32_t num_places, int32_t num_transitions,
     net->lft = lft;
     net->prio = prio;
     net->flags = flags;
-    net->scratch = (uint16_t *)malloc(
-        (num_places ? (size_t)num_places : 1) * sizeof(uint16_t));
+    net->scratch = (uint32_t *)malloc(
+        (num_places ? (size_t)num_places : 1) * sizeof(uint32_t));
     net->cand = (int32_t *)malloc(
         2 * (num_transitions ? (size_t)num_transitions : 1)
         * sizeof(int32_t));
@@ -170,16 +170,16 @@ static uint64_t kn_mix(uint64_t x)
 
 static uint64_t kn_zm(int32_t p, uint32_t v)
 {
-    return kn_mix(((uint64_t)1 << 62) ^ ((uint64_t)p << 20) ^ v);
+    return kn_mix(((uint64_t)1 << 62) ^ ((uint64_t)p << 32) ^ v);
 }
 
 static uint64_t kn_zc(int32_t t, uint32_t v)
 {
-    return kn_mix(((uint64_t)2 << 62) ^ ((uint64_t)t << 20) ^ v);
+    return kn_mix(((uint64_t)2 << 62) ^ ((uint64_t)t << 32) ^ v);
 }
 
-uint64_t kn_hash(const kn_net *net, const uint16_t *mark,
-                 const uint16_t *clk)
+uint64_t kn_hash(const kn_net *net, const uint32_t *mark,
+                 const uint32_t *clk)
 {
     uint64_t h = 0;
     int32_t i;
@@ -193,24 +193,25 @@ uint64_t kn_hash(const kn_net *net, const uint16_t *mark,
 /* Definition 3.1 over the packed buffers.  `mark`/`clk` arrive as
  * copies of `old_mark`/`old_clk` and are mutated in place; the state
  * hash is maintained incrementally (XOR out the old word, XOR in the
- * new one).  Returns 0 on success, 1 on marking overflow (> 0xFFFF
- * tokens in a place), 2 on clock overflow (>= 0xFFFF). */
-int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
-                     const uint16_t *old_clk, uint16_t *mark,
-                     uint16_t *clk, uint64_t *hash_io, int32_t t,
-                     int32_t q, int32_t intermediate)
+ * new one).  Returns 0 on success, 1 on marking overflow (> 0xFFFFFFFF
+ * tokens in a place), 2 on clock overflow (>= 0xFFFFFFFF).  New values
+ * are computed in 64 bits before the cap check, so nothing wraps. */
+int32_t kn_successor(const kn_net *net, const uint32_t *old_mark,
+                     const uint32_t *old_clk, uint32_t *mark,
+                     uint32_t *clk, uint64_t *hash_io, int32_t t,
+                     int64_t q, int32_t intermediate)
 {
     uint64_t h = *hash_io;
     int32_t i, j;
-    const uint16_t *ref = NULL;
+    const uint32_t *ref = NULL;
 
     for (i = net->delta_off[t]; i < net->delta_off[t + 1]; i++) {
         int32_t p = net->delta_place[i];
-        int32_t nv = (int32_t)mark[p] + net->delta_d[i];
-        if (nv < 0 || nv > 0xFFFF)
+        int64_t nv = (int64_t)mark[p] + net->delta_d[i];
+        if (nv < 0 || nv > (int64_t)0xFFFFFFFFu)
             return 1;
         h ^= kn_zm(p, mark[p]) ^ kn_zm(p, (uint32_t)nv);
-        mark[p] = (uint16_t)nv;
+        mark[p] = (uint32_t)nv;
     }
 
     if (q) {
@@ -218,11 +219,11 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
         for (j = 0; j < T; j++) {
             uint32_t v = clk[j];
             if (v != KN_DIS) {
-                uint32_t nv = v + (uint32_t)q;
+                uint64_t nv = (uint64_t)v + (uint64_t)q;
                 if (nv >= KN_DIS)
                     return 2;
-                h ^= kn_zc(j, v) ^ kn_zc(j, nv);
-                clk[j] = (uint16_t)nv;
+                h ^= kn_zc(j, v) ^ kn_zc(j, (uint32_t)nv);
+                clk[j] = (uint32_t)nv;
             }
         }
     }
@@ -230,10 +231,10 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
     if (intermediate) {
         /* enabledness transiently re-checked against m - W(., t) */
         memcpy(net->scratch, old_mark,
-               (size_t)net->P * sizeof(uint16_t));
+               (size_t)net->P * sizeof(uint32_t));
         for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
             net->scratch[net->pre_place[i]] -=
-                (uint16_t)net->pre_w[i];
+                (uint32_t)net->pre_w[i];
         ref = net->scratch;
     }
 
@@ -242,7 +243,7 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
         uint32_t oldc = old_clk[tk];
         int enabled_now = 1;
         for (j = net->pre_off[tk]; j < net->pre_off[tk + 1]; j++) {
-            if (mark[net->pre_place[j]] < net->pre_w[j]) {
+            if (mark[net->pre_place[j]] < (uint32_t)net->pre_w[j]) {
                 enabled_now = 0;
                 break;
             }
@@ -250,7 +251,7 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
         if (!enabled_now) {
             if (oldc != KN_DIS) {
                 h ^= kn_zc(tk, clk[tk]) ^ kn_zc(tk, KN_DIS);
-                clk[tk] = (uint16_t)KN_DIS;
+                clk[tk] = (uint32_t)KN_DIS;
             }
         } else if (oldc == KN_DIS) {
             /* newly enabled: clock resets to zero (the bulk advance
@@ -262,7 +263,8 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
             if (!reset && ref) {
                 for (j = net->pre_off[tk]; j < net->pre_off[tk + 1];
                      j++) {
-                    if (ref[net->pre_place[j]] < net->pre_w[j]) {
+                    if (ref[net->pre_place[j]] <
+                        (uint32_t)net->pre_w[j]) {
                         reset = 1;
                         break;
                     }
@@ -286,38 +288,38 @@ int32_t kn_successor(const kn_net *net, const uint16_t *old_mark,
  * firing window, optional strict priority filter, optional forced-
  * immediate partial-order reduction, (delay, priority, index) order.
  * `out` receives (transition, lower) pairs; returns the count. */
-int32_t kn_candidates(const kn_net *net, const uint16_t *clk,
+int32_t kn_candidates(const kn_net *net, const uint32_t *clk,
                       int32_t strict, int32_t partial_order,
                       int32_t *out, int32_t *reduced)
 {
     int32_t T = net->T;
-    int32_t ceiling = KN_INF_CEILING;
+    int64_t ceiling = KN_INF_CEILING;
     int32_t tk, k, n = 0;
 
     *reduced = 0;
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t l;
+        int64_t l;
         if (v == KN_DIS)
             continue;
         l = net->lft[tk];
         if (l < 0)
             continue; /* unbounded LFT */
-        l -= (int32_t)v;
+        l -= v;
         if (l < ceiling)
             ceiling = l;
     }
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t lo;
+        int64_t lo;
         if (v == KN_DIS || (net->flags[tk] & 2))
             continue; /* disabled or deadline-miss */
-        lo = net->eft[tk] - (int32_t)v;
+        lo = (int64_t)net->eft[tk] - v;
         if (lo < 0)
             lo = 0;
         if (lo <= ceiling) {
             out[2 * n] = tk;
-            out[2 * n + 1] = lo;
+            out[2 * n + 1] = (int32_t)lo;
             n++;
         }
     }
@@ -347,7 +349,7 @@ int32_t kn_candidates(const kn_net *net, const uint16_t *clk,
             if (out[2 * k + 1] != 0 || !(net->flags[tc] & 4))
                 continue; /* not zero-delay or not conflict-free */
             l = net->lft[tc];
-            if (l < 0 || l - (int32_t)clk[tc] > 0)
+            if (l < 0 || (int64_t)l - clk[tc] > 0)
                 continue; /* not forced at this instant */
             for (m2 = net->pc_off[tc]; m2 < net->pc_off[tc + 1];
                  m2++) {
@@ -395,40 +397,40 @@ int32_t kn_candidates(const kn_net *net, const uint16_t *clk,
 /* Raw firing window for the delay-enumeration modes: ceiling +
  * unfiltered (transition, lower) pairs in ascending index order.
  * `ceiling_out` is -1 when no enabled transition bounds the window. */
-int32_t kn_window(const kn_net *net, const uint16_t *clk,
+int32_t kn_window(const kn_net *net, const uint32_t *clk,
                   int32_t *out, int32_t *ceiling_out)
 {
     int32_t T = net->T;
-    int32_t ceiling = KN_INF_CEILING;
+    int64_t ceiling = KN_INF_CEILING;
     int32_t tk, n = 0;
 
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t l;
+        int64_t l;
         if (v == KN_DIS)
             continue;
         l = net->lft[tk];
         if (l < 0)
             continue;
-        l -= (int32_t)v;
+        l -= v;
         if (l < ceiling)
             ceiling = l;
     }
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t lo;
+        int64_t lo;
         if (v == KN_DIS || (net->flags[tk] & 2))
             continue;
-        lo = net->eft[tk] - (int32_t)v;
+        lo = (int64_t)net->eft[tk] - v;
         if (lo < 0)
             lo = 0;
         if (lo <= ceiling) {
             out[2 * n] = tk;
-            out[2 * n + 1] = lo;
+            out[2 * n + 1] = (int32_t)lo;
             n++;
         }
     }
-    *ceiling_out = (ceiling == KN_INF_CEILING) ? -1 : ceiling;
+    *ceiling_out = (ceiling == KN_INF_CEILING) ? -1 : (int32_t)ceiling;
     return n;
 }
 
@@ -443,39 +445,39 @@ int32_t kn_window(const kn_net *net, const uint16_t *clk,
  * (transition, delay) pairs; returns the count, or -needed when
  * `cap` pairs are not enough (the caller grows the buffer and
  * retries). */
-int32_t kn_expand(const kn_net *net, const uint16_t *clk,
+int32_t kn_expand(const kn_net *net, const uint32_t *clk,
                   int32_t strict, int32_t partial_order,
                   int32_t full, int32_t *out, int32_t cap,
                   int32_t *reduced)
 {
     int32_t T = net->T;
-    int32_t ceiling = KN_INF_CEILING;
+    int64_t ceiling = KN_INF_CEILING;
     int32_t tk, k, n = 0, needed, m, q;
 
     *reduced = 0;
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t l;
+        int64_t l;
         if (v == KN_DIS)
             continue;
         l = net->lft[tk];
         if (l < 0)
             continue;
-        l -= (int32_t)v;
+        l -= v;
         if (l < ceiling)
             ceiling = l;
     }
     for (tk = 0; tk < T; tk++) {
         uint32_t v = clk[tk];
-        int32_t lo;
+        int64_t lo;
         if (v == KN_DIS || (net->flags[tk] & 2))
             continue;
-        lo = net->eft[tk] - (int32_t)v;
+        lo = (int64_t)net->eft[tk] - v;
         if (lo < 0)
             lo = 0;
         if (lo <= ceiling) {
             net->cand[2 * n] = tk;
-            net->cand[2 * n + 1] = lo;
+            net->cand[2 * n + 1] = (int32_t)lo;
             n++;
         }
     }
@@ -505,7 +507,7 @@ int32_t kn_expand(const kn_net *net, const uint16_t *clk,
             if (net->cand[2 * k + 1] != 0 || !(net->flags[tc] & 4))
                 continue;
             l = net->lft[tc];
-            if (l < 0 || l - (int32_t)clk[tc] > 0)
+            if (l < 0 || (int64_t)l - clk[tc] > 0)
                 continue;
             for (m2 = net->pc_off[tc]; m2 < net->pc_off[tc + 1];
                  m2++) {
@@ -560,7 +562,7 @@ int32_t kn_expand(const kn_net *net, const uint16_t *clk,
     needed = 0;
     for (k = 0; k < n; k++) {
         int32_t lo = net->cand[2 * k + 1];
-        needed += full ? (ceiling - lo + 1)
+        needed += full ? (int32_t)(ceiling - lo + 1)
                        : (ceiling == lo ? 1 : 2);
     }
     if (needed > cap)
@@ -580,7 +582,7 @@ int32_t kn_expand(const kn_net *net, const uint16_t *clk,
             m++;
             if (ceiling != lo) {
                 out[2 * m] = tc;
-                out[2 * m + 1] = ceiling;
+                out[2 * m + 1] = (int32_t)ceiling;
                 m++;
             }
         }
@@ -612,8 +614,10 @@ int32_t kn_expand(const kn_net *net, const uint16_t *clk,
 
 
 def _digest() -> str:
+    # a CRC, not hashlib: every default search loads this module, and
+    # hashlib's OpenSSL import would add ~4 ms to each cold process
     payload = (CDEF + SOURCE).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:12]
+    return format(zlib.crc32(payload), "08x")
 
 
 def _cache_dirs() -> list[str]:

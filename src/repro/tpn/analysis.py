@@ -1,6 +1,6 @@
 """Structural and behavioural analysis of time Petri nets.
 
-Supporting substrate (DESIGN.md S2): place/transition invariants via the
+Supporting substrate: place/transition invariants via the
 incidence matrix, conservation and boundedness checks, deadlock detection
 on an explored state space, and structural classification (state machine
 / marked graph / free choice).  These checks back the validation story

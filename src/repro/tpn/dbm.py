@@ -9,8 +9,8 @@ module is the packed counterpart — the same Definition 3.1 dense-time
 semantics over flat buffers, the substrate the discrete kernel engine
 (:mod:`repro.tpn.kernel`) proved out:
 
-* the marking is an ``array('H')`` with the same 16-bit token cap and
-  loud-overflow contract as the kernel engine;
+* the marking is an ``array('H')`` with its own 16-bit token cap
+  (:data:`MAX_TOKENS`) and the kernel engine's loud-overflow contract;
 * the bound matrix is a flat row-major ``array('q')`` of 64-bit
   integers with :data:`DINF` (``1 << 62``) as the unbounded sentinel —
   every finite bound is an exact integer, and the engine rejects nets
@@ -57,10 +57,15 @@ from operator import itemgetter
 from repro.errors import SchedulingError
 from repro.tpn import _dbmc
 from repro.tpn.interval import INF
-from repro.tpn.kernel import MAX_TOKENS, _MASK64, _mix
+from repro.tpn.kernel import _MASK64, _mix
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import RESET_POLICIES
 from repro.tpn.stateclass import Bound, StateClass, _canonical
+
+#: Largest storable token count of the packed ``array('H')`` marking
+#: (loud overflow above).  Independent of the discrete kernel's wider
+#: 32-bit words: the class keys hash ``(place << 20) ^ tokens``.
+MAX_TOKENS = 0xFFFF
 
 #: Unbounded-entry sentinel in the packed ``array('q')`` bound matrix.
 #: Far above any reachable finite bound (see :data:`MAX_BOUND`), so

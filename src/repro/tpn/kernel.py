@@ -8,14 +8,15 @@ boxed ints.  This module is the fourth engine
 (``PreRuntimeScheduler(engine="kernel")``): the same Definition 3.1
 semantics over *packed flat buffers* —
 
-* the marking is an ``array('H')``, one unsigned 16-bit word per place
-  (token counts are capped at 65535 — comfortably past the paper
-  models' tick-counter places; the engine raises loudly on overflow
-  instead of silently wrapping);
-* the clock vector is an ``array('H')`` of unsigned 16-bit words with
-  :data:`DIS` (``0xFFFF``) marking disabled transitions (clocks are
-  capped at 65534 — a search that deep raises rather than corrupting
-  parity);
+* the marking is an ``array('I')``, one unsigned 32-bit word per place
+  (token counts are capped at :data:`MAX_TOKENS` = 4294967295 — far
+  past the paper models' tick-counter places; the engine raises
+  loudly on overflow instead of silently wrapping);
+* the clock vector is an ``array('I')`` of unsigned 32-bit words with
+  :data:`DIS` (``0xFFFFFFFF``) marking disabled transitions (clocks
+  are capped at :data:`MAX_CLOCK` = 4294967294, so µs-scaled
+  hyper-periods of 10⁵–10⁶ units fit with room to spare; a search
+  past the cap raises rather than corrupting parity);
 * the enabled set is implicit in the clock buffer (``clk[t] != DIS``)
   and maintained branchlessly from :attr:`CompiledNet.affected`;
 * the 64-bit state key is a functional Zobrist hash (splitmix64 of a
@@ -50,11 +51,15 @@ from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import DISABLED, RESET_POLICIES, State
 
-#: Disabled-clock sentinel in the packed ``array('H')`` clock buffer.
-DIS = 0xFFFF
+#: Typecode of the packed marking and clock buffers: unsigned 32-bit
+#: words (C ``unsigned int``), the ``uint32_t`` of the C core.
+WORD = "I"
+
+#: Disabled-clock sentinel in the packed clock buffer.
+DIS = 0xFFFFFFFF
 
 #: Largest storable token count / clock value (loud overflow above).
-MAX_TOKENS = 0xFFFF
+MAX_TOKENS = 0xFFFFFFFF
 MAX_CLOCK = DIS - 1
 
 _MASK64 = (1 << 64) - 1
@@ -70,12 +75,12 @@ def _mix(x: int) -> int:
 
 def _zm(p: int, v: int) -> int:
     """Zobrist word of place ``p`` holding ``v`` tokens."""
-    return _mix((1 << 62) ^ (p << 20) ^ v)
+    return _mix((1 << 62) ^ (p << 32) ^ v)
 
 
 def _zc(t: int, v: int) -> int:
     """Zobrist word of transition ``t``'s clock value ``v``."""
-    return _mix((2 << 62) ^ (t << 20) ^ v)
+    return _mix((2 << 62) ^ (t << 32) ^ v)
 
 
 class KernelState:
@@ -109,11 +114,6 @@ class KernelState:
             f"KernelState(m={self.marking.tolist()}, "
             f"c={self.clk.tolist()})"
         )
-
-    @property
-    def hash64(self) -> int:
-        """The incremental 64-bit Zobrist key, as a public value."""
-        return self._hash
 
     def clocks_tuple(self) -> tuple[int, ...]:
         """Dense clock tuple with :data:`repro.tpn.state.DISABLED`
@@ -232,8 +232,8 @@ class _NativeCore:
         ffi = self.ffi
         return self.lib.kn_hash(
             self.net_ptr,
-            ffi.from_buffer("uint16_t[]", mark),
-            ffi.from_buffer("uint16_t[]", clk),
+            ffi.from_buffer("uint32_t[]", mark),
+            ffi.from_buffer("uint32_t[]", clk),
         )
 
     def successor(self, om, oc, nm, nc, key, t, q, intermediate):
@@ -242,10 +242,10 @@ class _NativeCore:
         hio[0] = key
         status = self.lib.kn_successor(
             self.net_ptr,
-            ffi.from_buffer("uint16_t[]", om),
-            ffi.from_buffer("uint16_t[]", oc),
-            ffi.from_buffer("uint16_t[]", nm),
-            ffi.from_buffer("uint16_t[]", nc),
+            ffi.from_buffer("uint32_t[]", om),
+            ffi.from_buffer("uint32_t[]", oc),
+            ffi.from_buffer("uint32_t[]", nm),
+            ffi.from_buffer("uint32_t[]", nc),
             hio,
             t,
             q,
@@ -257,7 +257,7 @@ class _NativeCore:
         out = self._out
         n = self.lib.kn_candidates(
             self.net_ptr,
-            self.ffi.from_buffer("uint16_t[]", clk),
+            self.ffi.from_buffer("uint32_t[]", clk),
             strict,
             partial_order,
             out,
@@ -269,7 +269,7 @@ class _NativeCore:
         )
 
     def expand(self, clk, strict, partial_order, full):
-        clk_ptr = self.ffi.from_buffer("uint16_t[]", clk)
+        clk_ptr = self.ffi.from_buffer("uint32_t[]", clk)
         while True:
             n = self.lib.kn_expand(
                 self.net_ptr,
@@ -295,7 +295,7 @@ class _NativeCore:
         out = self._out
         n = self.lib.kn_window(
             self.net_ptr,
-            self.ffi.from_buffer("uint16_t[]", clk),
+            self.ffi.from_buffer("uint32_t[]", clk),
             out,
             self._ceil,
         )
@@ -373,7 +373,7 @@ class KernelEngine:
     # Zobrist hashing (pure side; the C core mirrors these bit for bit)
     # ------------------------------------------------------------------
     def _zm(self, p: int, v: int) -> int:
-        key = (p << 20) ^ v
+        key = (p << 32) ^ v
         cache = self._zm_cache
         word = cache.get(key)
         if word is None:
@@ -382,7 +382,7 @@ class KernelEngine:
         return word
 
     def _zc(self, t: int, v: int) -> int:
-        key = (t << 20) ^ v
+        key = (t << 32) ^ v
         cache = self._zc_cache
         word = cache.get(key)
         if word is None:
@@ -413,10 +413,10 @@ class KernelEngine:
                 "kernel engine: initial marking exceeds the packed "
                 f"token cap ({MAX_TOKENS} per place)"
             )
-        mark = array("H", net.m0)
+        mark = array(WORD, net.m0)
         pre = self._pre
         clk = array(
-            "H",
+            WORD,
             (
                 0
                 if all(mark[p] >= w for p, w in pre[t])
@@ -428,9 +428,9 @@ class KernelEngine:
 
     def revive(self, marking: bytes, clocks: bytes) -> KernelState:
         """Rebuild a state from :meth:`KernelState.export` buffers."""
-        mark = array("H")
+        mark = array(WORD)
         mark.frombytes(marking)
-        clk = array("H")
+        clk = array(WORD)
         clk.frombytes(clocks)
         return KernelState(mark, clk, self.full_hash(mark, clk))
 
@@ -440,9 +440,14 @@ class KernelEngine:
             raise SchedulingError(
                 "kernel engine: marking exceeds the packed token cap"
             )
-        mark = array("H", state.marking)
+        if any(v > MAX_CLOCK for v in state.clocks):
+            raise SchedulingError(
+                f"kernel engine: a clock exceeds the packed {MAX_CLOCK} "
+                "clock cap"
+            )
+        mark = array(WORD, state.marking)
         clk = array(
-            "H",
+            WORD,
             (DIS if v == DISABLED else v for v in state.clocks),
         )
         return KernelState(mark, clk, self.full_hash(mark, clk))
@@ -454,8 +459,8 @@ class KernelEngine:
         """Fire ``t`` after delay ``q`` on copies of the packed buffers."""
         om = state.marking
         oc = state.clk
-        nm = array("H", om)
-        nc = array("H", oc)
+        nm = array(WORD, om)
+        nc = array(WORD, oc)
         core = self._core
         if core is not None:
             status, key = core.successor(
@@ -507,7 +512,7 @@ class KernelEngine:
 
         pre = self._pre
         if self._intermediate:
-            ref = array("H", om)
+            ref = array(WORD, om)
             for place, weight in pre[t]:
                 ref[place] -= weight
         else:
@@ -619,7 +624,7 @@ class KernelEngine:
         The packed analogue of
         :func:`repro.scheduler.core.forced_immediate` (which reads
         enabledness as ``clocks[t] >= 0`` and cannot run on the
-        ``0xFFFF``-sentinel encoding): a zero-delay, structurally
+        ``0xFFFFFFFF``-sentinel encoding): a zero-delay, structurally
         conflict-free candidate whose dynamic upper bound is zero and
         whose postset feeds no enabled transition fires alone.
         """

@@ -200,7 +200,8 @@ class StateEngine:
         delay does not exceed the global ``min DUB``; with
         ``priority_filter`` (default) only candidates achieving the
         minimum priority value among the window-eligible set survive —
-        the window-first reading discussed in DESIGN.md.
+        the window-first reading of the definition (the window is
+        computed over all enabled transitions, then filtered).
         """
         ceiling = self.min_dub(state)
         eft = self.net.eft

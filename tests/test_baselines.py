@@ -187,7 +187,7 @@ class TestMissHandling:
 
 
 class TestCannedComparisons:
-    """The baseline story of DESIGN.md experiment B1."""
+    """Pre-runtime synthesis against the run-time policy baselines."""
 
     def test_mok_trap_beats_every_runtime_policy(self):
         spec = mok_trap()

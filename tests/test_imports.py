@@ -102,9 +102,19 @@ class TestColdImports:
         assert "repro.sim.machine" in loaded
 
     def test_discrete_search_skips_the_kernel_it_does_not_run(self):
+        # the default discrete search runs the packed kernel, and only
+        # that engine: neither the incremental engine nor the dense
+        # stack loads
         modules, _ = _loaded_modules(_cli(["schedule", "@fig3"]))
-        assert "repro.tpn.kernel" not in modules
-        assert "repro.scheduler.parallel" not in modules
+        assert "repro.tpn.kernel" in modules
+        for name in (
+            "repro.tpn.fastengine",
+            "repro.tpn.dbm",
+            "repro.tpn._dbmc",
+            "repro.tpn.stateclass",
+            "repro.scheduler.parallel",
+        ):
+            assert name not in modules, name
 
     def test_parallel_module_defers_multiprocessing(self):
         # only a parallel search needs process pools; importing the

@@ -16,7 +16,11 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   agree exactly (verdict, visited counts, schedules, deterministic
   counters) and the dense state-class engine must agree on the verdict.
 * **Packed-representation edges** — export/revive round-trips, the
-  loud token/clock overflow errors, ``KernelState`` identity.
+  loud token/clock overflow errors at the 32-bit caps (identical in
+  both cores), ``KernelState`` identity.
+* **µs-scale parity** — time-scaled task sets whose hyper-periods run
+  to 10⁵–10⁶ time units search byte-identically on the kernel (both
+  cores) and the reference engine.
 """
 
 from __future__ import annotations
@@ -31,9 +35,17 @@ from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.parallel import ParallelScheduler
 from repro.spec import paper_examples
 from repro.tpn import _kernelc
-from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine, KernelState
+from repro.tpn.interval import INF
+from repro.tpn.kernel import (
+    DIS,
+    MAX_CLOCK,
+    MAX_TOKENS,
+    KernelEngine,
+    KernelState,
+)
+from repro.tpn.net import TimePetriNet
 from repro.tpn.state import DISABLED, StateEngine
-from repro.workloads import random_task_set
+from repro.workloads import random_task_set, time_scaled_task_set
 
 RESETS = ("paper", "intermediate")
 DISCRETE_ENGINES = ("reference", "incremental", "kernel")
@@ -104,7 +116,7 @@ def _lockstep_walk(net, reset_policy, seed, kernel_engine):
             # the packed caps are allowed to stop an unbounded pump
             # walk, but only when the reference marking really blew
             # past them — a legitimate, loud design limit
-            assert max(ref.marking) > 0xFFFF or max(
+            assert max(ref.marking) > MAX_TOKENS or max(
                 v for v in ref.clocks if v != DISABLED
             ) > MAX_CLOCK
             return step
@@ -297,10 +309,20 @@ class TestSchedulerIntegration:
         assert result.feasible
         assert result.winner_engine in ("kernel", "incremental")
 
-    def test_worksteal_rejects_kernel(self):
+    def test_worksteal_accepts_kernel_rejects_stateclass(
+        self, paper_nets
+    ):
+        cfg = SchedulerConfig(
+            engine="kernel", parallel=2, parallel_mode="worksteal"
+        )
+        serial = PreRuntimeScheduler(
+            paper_nets["fig8"], SchedulerConfig(engine="kernel")
+        ).search()
+        result = ParallelScheduler(paper_nets["fig8"], cfg).search()
+        assert result.feasible == serial.feasible
         with pytest.raises(SchedulingError):
             SchedulerConfig(
-                engine="kernel", parallel=2, parallel_mode="worksteal"
+                engine="stateclass", parallel=2, parallel_mode="worksteal"
             )
 
 
@@ -350,7 +372,7 @@ class TestPackedRepresentation:
     def test_initial_marking_cap_is_loud(self, paper_nets):
         net = paper_nets["fig3"]
         engine = KernelEngine(net)
-        big = net.m0[:1] + tuple(0x10000 for _ in net.m0[1:])
+        big = net.m0[:1] + tuple(MAX_TOKENS + 1 for _ in net.m0[1:])
         ref = StateEngine(net).initial_state()
         with pytest.raises(SchedulingError, match="token cap"):
             engine.lift(type(ref)(big, ref.clocks))
@@ -365,3 +387,122 @@ class TestPackedRepresentation:
         cands, _ = engine.candidates(a, False, True)
         child = engine.successor(a, *cands[0])
         assert child != a
+
+
+def _both_cores(net, monkeypatch):
+    """A native and a pure engine over ``net`` (native skipped when no
+    compiled core is available here)."""
+    engines = []
+    if _kernelc.load() is not None:
+        engines.append(KernelEngine(net))
+    monkeypatch.setenv(_kernelc.PURE_ENV, "1")
+    engines.append(KernelEngine(net))
+    monkeypatch.delenv(_kernelc.PURE_ENV)
+    return engines
+
+
+def _pump_net(sink_tokens):
+    """``t0`` stays enabled and adds a token to ``sink`` per firing;
+    ``t1`` stays enabled, so its clock persists across ``t0``."""
+    net = TimePetriNet("pump")
+    net.add_place("src", marking=1)
+    net.add_place("sink", marking=sink_tokens)
+    net.add_place("hold", marking=1)
+    net.add_transition("t0")
+    net.add_transition("t1")
+    net.add_arc("src", "t0")
+    net.add_arc("t0", "src")
+    net.add_arc("t0", "sink")
+    net.add_arc("hold", "t1")
+    return net.compile()
+
+
+class TestWideCaps:
+    """The 32-bit caps hold, and both cores refuse past them alike."""
+
+    def test_clock_reaches_max_clock_then_overflows(self, monkeypatch):
+        net = _pump_net(0)
+        outcomes = []
+        for engine in _both_cores(net, monkeypatch):
+            state = engine.initial()
+            at_cap = engine.successor(state, 0, MAX_CLOCK)
+            assert at_cap.clocks_tuple() == (0, MAX_CLOCK)
+            assert at_cap._hash == engine.full_hash(
+                at_cap.marking, at_cap.clk
+            )
+            with pytest.raises(SchedulingError) as info:
+                engine.successor(state, 0, MAX_CLOCK + 1)
+            outcomes.append((at_cap, at_cap._hash, str(info.value)))
+        assert f"clock overflow past {MAX_CLOCK}" in outcomes[0][2]
+        assert all(o == outcomes[0] for o in outcomes)
+
+    def test_token_cap_overflow_is_identical(self, monkeypatch):
+        net = _pump_net(MAX_TOKENS)
+        messages = []
+        for engine in _both_cores(net, monkeypatch):
+            state = engine.initial()
+            assert max(state.marking) == MAX_TOKENS
+            with pytest.raises(SchedulingError) as info:
+                engine.successor(state, 0, 0)
+            messages.append(str(info.value))
+        assert f"token cap ({MAX_TOKENS} per place)" in messages[0]
+        assert all(m == messages[0] for m in messages)
+
+    def test_lift_refuses_clocks_past_the_cap(self, paper_nets):
+        net = paper_nets["fig3"]
+        ref = StateEngine(net).initial_state()
+        clocks = tuple(
+            MAX_CLOCK + 1 if c != DISABLED else c for c in ref.clocks
+        )
+        with pytest.raises(SchedulingError, match="clock cap"):
+            KernelEngine(net).lift(type(ref)(ref.marking, clocks))
+
+
+US_SEEDS = (0, 3, 8, 10)
+
+
+def _us_net(seed):
+    base = random_task_set(
+        4, 0.6, seed=seed, period_grid=(100, 125, 200, 250, 500)
+    )
+    return compose(time_scaled_task_set(base, 1000)).compiled()
+
+
+def _comparable(result):
+    stats = result.stats.as_dict()
+    for key in result.stats.WALL_CLOCK_KEYS:
+        stats.pop(key)
+    return (
+        result.feasible,
+        result.exhausted,
+        result.firing_schedule,
+        stats,
+    )
+
+
+class TestMicrosecondScaleParity:
+    """µs-scaled specs: hyper-periods of 10⁵–10⁶ time units, past the
+    old 16-bit clock words, search identically on every core."""
+
+    @pytest.mark.parametrize("pure", (False, True), ids=("native", "pure"))
+    @pytest.mark.parametrize("seed", US_SEEDS)
+    def test_kernel_matches_reference(self, seed, pure, monkeypatch):
+        if pure:
+            monkeypatch.setenv(_kernelc.PURE_ENV, "1")
+        elif _kernelc.load() is None:
+            pytest.skip("native core unavailable")
+        net = _us_net(seed)
+        # windows past the former 16-bit clock words
+        assert max(b for b in net.lft if b != INF) > 0xFFFF
+        results = {
+            engine: PreRuntimeScheduler(
+                net, SchedulerConfig(engine=engine, max_states=10_000)
+            ).search()
+            for engine in ("reference", "kernel")
+        }
+        assert results["kernel"].metrics["gauges"][
+            "kernel.native_core"
+        ] == (0.0 if pure else 1.0)
+        assert _comparable(results["kernel"]) == _comparable(
+            results["reference"]
+        )

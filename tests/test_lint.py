@@ -25,7 +25,6 @@ from repro.batch.job import (
 )
 from repro.blocks.composer import compose
 from repro.cli import main as cli_main
-from repro.errors import SchedulingError
 from repro.lint import (
     ERROR,
     WARNING,
@@ -67,6 +66,7 @@ from repro.spec import (
 from repro.spec.model import EzRTSpec, Task
 from repro.tpn.dbm import MAX_BOUND
 from repro.tpn.interval import INF, TimeInterval
+from repro.tpn._kernelc import PURE_ENV
 from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
 from repro.tpn.net import TimePetriNet
 
@@ -360,29 +360,32 @@ class TestNetRules:
     def test_small_spec_has_no_token_cap_finding(self):
         assert token_cap_diagnostics(mine_pump(), engine="kernel") == []
 
-    def test_hyper_period_past_kernel_clock_cap(self):
-        # periods of 70 ms and 80 ms in µs: hyper-period 560000, far
-        # past the kernel's uint16 clocks
+    def test_hyper_period_past_kernel_clock_cap(self, monkeypatch):
+        # periods of 70 ms and 80 ms in µs: hyper-period 560000, past
+        # the kernel's former uint16 clocks but far inside its uint32
+        # clock cap, so EZT203 stays silent ...
         spec = load(os.path.join(FIXTURES, "kernel_clock_cap.xml"))
-        diagnostics = lint_spec(spec, engine="kernel")
-        assert codes(diagnostics) == ["EZT203"]
-        assert diagnostics[0].severity == WARNING
-        assert f"{MAX_CLOCK} clock cap" in diagnostics[0].message
-        assert "abort mid-search" in diagnostics[0].message
-        assert "EZT203" in codes(
+        assert 0xFFFF < 560000 <= MAX_CLOCK
+        assert lint_spec(spec, engine="kernel") == []
+        assert "EZT203" not in codes(
             presearch_diagnostics(spec, engine="kernel")
         )
-        # the warning is kernel-specific ...
         assert lint_spec(spec, engine="incremental") == []
-        # ... and justified: the kernel does overflow mid-search,
-        # while the default engine schedules the spec
-        with pytest.raises(SchedulingError, match="clock overflow"):
-            find_schedule(compose(spec), SchedulerConfig(engine="kernel"))
-        result = find_schedule(
+        # ... and the kernel schedules the spec in both cores, exactly
+        # as the incremental engine does
+        incremental = find_schedule(
             compose(spec), SchedulerConfig(engine="incremental")
         )
-        assert result.feasible
-        assert result.stats.states_visited == 63
+        assert incremental.feasible
+        assert incremental.stats.states_visited == 63
+        for pure in ("0", "1"):
+            monkeypatch.setenv(PURE_ENV, pure)
+            kernel = find_schedule(
+                compose(spec), SchedulerConfig(engine="kernel")
+            )
+            assert kernel.feasible
+            assert kernel.stats.states_visited == 63
+            assert kernel.firing_schedule == incremental.firing_schedule
         # the paper's case studies fit the cap
         for study in (fig3_precedence(), mine_pump()):
             assert lint_spec(study, engine="kernel") == []
@@ -502,14 +505,16 @@ class TestConfigRules:
             engine="stateclass", delay_mode="earliest"
         ) == []
 
-    def test_worksteal_requires_incremental(self):
-        diagnostics = config_diagnostics(
-            engine="kernel", parallel=4, parallel_mode="worksteal"
-        )
-        assert "EZG302" in codes(diagnostics)
-        assert config_diagnostics(
-            engine="incremental", parallel=4, parallel_mode="worksteal"
-        ) == []
+    def test_worksteal_requires_a_discrete_engine(self):
+        for engine in ("stateclass", "reference"):
+            diagnostics = config_diagnostics(
+                engine=engine, parallel=4, parallel_mode="worksteal"
+            )
+            assert "EZG302" in codes(diagnostics)
+        for engine in ("kernel", "incremental", None):
+            assert config_diagnostics(
+                engine=engine, parallel=4, parallel_mode="worksteal"
+            ) == []
 
     def test_lint_spec_passes_config_findings_through(self):
         diagnostics = lint_spec(mine_pump(), engine="quantum")

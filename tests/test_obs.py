@@ -259,7 +259,7 @@ class TestChromeTrace:
             "candidate-enumeration",
         } <= names
         search_span = next(e for e in events if e["name"] == "search")
-        assert search_span["args"]["engine"] == "incremental"
+        assert search_span["args"]["engine"] == SchedulerConfig().engine
         assert search_span["args"]["states_visited"] > 0
         # aggregate child spans nest inside the search span
         for child in (

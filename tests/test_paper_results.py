@@ -1,7 +1,7 @@
 """Regression tests pinning the paper's published numbers (Section 5).
 
-These are the reproduction's headline checks; EXPERIMENTS.md records
-the paper-vs-measured comparison these tests enforce.
+These are the reproduction's headline checks: each test enforces one
+paper-vs-measured comparison.
 """
 
 import pytest

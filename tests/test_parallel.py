@@ -32,6 +32,8 @@ from repro.scheduler import (
     split_frontier,
     validate_with_reference,
 )
+from repro.scheduler.config import WORKSTEAL_ENGINES
+from repro.scheduler.core import make_adapter
 from repro.spec import paper_examples
 from repro.tpn.fastengine import IncrementalEngine, SubtreeJob
 from repro.workloads import random_task_set, time_scaled_task_set
@@ -231,14 +233,42 @@ class TestSplitFrontier:
 
     def test_seen_hashes_cover_the_frontier(self):
         net = compose(paper_examples()["fig8"]).compiled()
-        split = split_frontier(net, SchedulerConfig(), target_jobs=4)
+        config = SchedulerConfig()
+        split = split_frontier(net, config, target_jobs=4)
         if split.result is not None:
             pytest.skip("model solved during split")
-        engine = IncrementalEngine(net)
+        # the filter is keyed on the split engine's state keys
+        adapter = make_adapter(config.engine, net, config)
         seen = set(split.seen_hashes)
         for job in split.jobs:
-            root = engine.revive(job.marking, job.clocks)
-            assert root._hash in seen
+            root = adapter.revive(job.marking, job.clocks)
+            assert adapter.state_key(root) in seen
+
+    def test_every_worksteal_engine_splits_alike(self):
+        """The kernel and incremental engines export the same subtree
+        jobs (canonical pairs and prefixes) from the same split."""
+        net = compose(paper_examples()["fig8"]).compiled()
+        splits = {
+            engine: split_frontier(
+                net, SchedulerConfig(engine=engine), target_jobs=4
+            )
+            for engine in WORKSTEAL_ENGINES
+        }
+        jobs = {engine: split.jobs for engine, split in splits.items()}
+        assert jobs["kernel"] and jobs["kernel"] == jobs["incremental"]
+        stats = {
+            engine: split.stats.states_generated
+            for engine, split in splits.items()
+        }
+        assert stats["kernel"] == stats["incremental"]
+
+    def test_split_rejects_engines_without_state_export(self):
+        net = compose(paper_examples()["fig8"]).compiled()
+        for engine in ("reference", "stateclass"):
+            with pytest.raises(SchedulingError):
+                split_frontier(
+                    net, SchedulerConfig(engine=engine), target_jobs=4
+                )
 
 
 # ----------------------------------------------------------------------

@@ -573,7 +573,7 @@ class TestEngineConfiguration:
         with pytest.raises(SchedulingError):
             SchedulerConfig(engine="stateclass", delay_mode="extremes")
 
-    def test_worksteal_requires_incremental(self, fig3_model):
+    def test_worksteal_rejects_stateclass(self, fig3_model):
         with pytest.raises(SchedulingError):
             SchedulerConfig(
                 engine="stateclass",
