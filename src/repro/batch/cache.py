@@ -53,7 +53,10 @@ from repro.spec.model import EzRTSpec
 #: though their stats and schedule shapes differ; bumping the version
 #: also makes every v2 entry miss cleanly instead of being replayed
 #: with the wrong shape.
-CACHE_FORMAT_VERSION = 3
+#: v4: the scheduler section lost the parallel-mode knob (portfolio
+#: racing is the only parallel search left); v3 keys hashed it and now
+#: miss cleanly.
+CACHE_FORMAT_VERSION = 4
 
 
 def spec_fingerprint(spec: EzRTSpec) -> dict:
@@ -120,7 +123,6 @@ def job_fingerprint(
             "policy": config.policy,
             "policy_seed": config.policy_seed,
             "parallel": config.parallel,
-            "parallel_mode": config.parallel_mode,
             "portfolio": list(config.portfolio),
         },
         "stages": {

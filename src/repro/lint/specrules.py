@@ -11,8 +11,8 @@ Three rule families, all pure functions returning
   classical bounds of :mod:`repro.analysis.utilization`;
 * **net rules** (``EZT2xx``) — structural checks on a compiled time
   Petri net: transitions that can never fire, places that can never be
-  marked, token counts that threaten the packed kernel engine's
-  ``uint32`` cap;
+  marked, token counts that threaten the packed engines' caps (the
+  kernel's ``uint32`` words, the DBM's ``uint16`` marking);
 * **configuration rules** (``EZG3xx``) — engine/knob combinations the
   scheduler would reject at construction time, checkable on raw
   strings *before* a :class:`~repro.scheduler.config.SchedulerConfig`
@@ -41,9 +41,9 @@ from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 
 # The engine caps (repro.tpn.kernel.MAX_TOKENS/MAX_CLOCK,
-# repro.tpn.dbm.MAX_BOUND) are read inside the rules that need them,
-# so the pre-search gate loads an engine module only when the search
-# targets that engine.
+# repro.tpn.dbm.MAX_TOKENS/MAX_BOUND) are read inside the rules that
+# need them, so the pre-search gate loads an engine module only when
+# the search targets that engine.
 
 #: Utilisation slack below which ``U > capacity`` is treated as noise
 #: (mirrors :func:`repro.analysis.utilization.necessary_feasible`).
@@ -299,14 +299,17 @@ def infeasibility_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
 def token_cap_diagnostics(
     spec: EzRTSpec, engine: str | None = None
 ) -> list[Diagnostic]:
-    """EZT203 (spec level): the packed kernel's token and clock caps.
+    """EZT203 (spec level): the packed engines' token and clock caps.
 
     A task with ``N = PS / p`` instances marks instance-counting
-    places with up to ``N`` tokens over the hyper-period; the packed
+    places with up to ``N`` tokens over the hyper-period.  The packed
     kernel engine stores markings as ``uint32`` words and refuses
-    loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`.  This
-    surfaces the overflow *before* the search (and before a compile
-    that would unroll the instances).
+    loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`; the
+    packed DBM of the state-class engine keeps ``uint16`` markings and
+    refuses past :data:`repro.tpn.dbm.MAX_TOKENS`.  This surfaces the
+    overflow *before* the search (and before a compile that would
+    unroll the instances), against the DBM's cap when the search
+    targets ``engine="stateclass"`` and the kernel's otherwise.
 
     The kernel's clocks are ``uint32`` words too, and it aborts
     mid-search once one passes :data:`repro.tpn.kernel.MAX_CLOCK`.
@@ -314,16 +317,29 @@ def token_cap_diagnostics(
     hyper-period, so a hyper-period within the cap proves the search
     safe; past it, the kernel-targeted lint warns.
     """
-    from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
-
     if not spec.tasks:
         return []
+    if engine == "stateclass":
+        from repro.tpn.dbm import MAX_TOKENS
+
+        owner = "packed DBM"
+        tail = "; the state-class engine will abort mid-search"
+        fallback = "a discrete-time engine"
+    else:
+        from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
+
+        owner = "packed kernel"
+        tail = (
+            "; the kernel engine will abort mid-search"
+            if engine == "kernel"
+            else ""
+        )
+        fallback = "a non-kernel engine"
     period = schedule_period(spec)
     diagnostics: list[Diagnostic] = []
     for task in spec.tasks:
         instances = instance_count(task, period)
         if instances > MAX_TOKENS:
-            kernel = engine == "kernel"
             diagnostics.append(
                 Diagnostic(
                     code="EZT203",
@@ -331,16 +347,11 @@ def token_cap_diagnostics(
                     message=(
                         f"task {task.name!r} has {instances} instances "
                         f"in the hyper-period {period}, beyond the "
-                        f"packed kernel's {MAX_TOKENS}-token place cap"
-                        + (
-                            "; the kernel engine will abort mid-search"
-                            if kernel
-                            else ""
-                        )
+                        f"{owner}'s {MAX_TOKENS}-token place cap" + tail
                     ),
                     hint=(
                         "harmonise the periods to shrink the "
-                        "hyper-period, or use a non-kernel engine"
+                        f"hyper-period, or use {fallback}"
                     ),
                     element=f"task {task.name!r}",
                 )
@@ -473,9 +484,9 @@ def presearch_diagnostics(
     if validate_spec(spec):
         return []
     diagnostics = infeasibility_diagnostics(spec)
-    if engine == "kernel":
+    if engine in ("kernel", "stateclass"):
         diagnostics.extend(token_cap_diagnostics(spec, engine=engine))
-    elif engine == "stateclass":
+    if engine == "stateclass":
         diagnostics.extend(dbm_bound_diagnostics(spec, engine=engine))
     return diagnostics
 
@@ -494,9 +505,21 @@ def net_diagnostics(
     *potentially fireable* once every preset place is potentially
     markable.  Transitions outside the fixpoint can never fire in any
     run (EZT201); unmarkable places are dead weight (EZT202).
+    Initial markings past the packed token cap (EZT203) are checked
+    against the DBM's ``uint16`` words under ``engine="stateclass"``
+    and the kernel's ``uint32`` words otherwise; either is an error
+    for the engine that would refuse the net.
     """
     from repro.tpn.dbm import MAX_BOUND
-    from repro.tpn.kernel import MAX_TOKENS
+
+    if engine == "stateclass":
+        from repro.tpn.dbm import MAX_TOKENS
+
+        owner, fallback = "packed DBM", "a discrete-time engine"
+    else:
+        from repro.tpn.kernel import MAX_TOKENS
+
+        owner, fallback = "packed kernel", "a non-kernel engine"
 
     markable = {
         index for index, tokens in enumerate(net.m0) if tokens > 0
@@ -550,15 +573,19 @@ def net_diagnostics(
             diagnostics.append(
                 Diagnostic(
                     code="EZT203",
-                    severity=ERROR if engine == "kernel" else WARNING,
+                    severity=(
+                        ERROR
+                        if engine in ("kernel", "stateclass")
+                        else WARNING
+                    ),
                     message=(
                         f"place {net.place_names[index]!r} starts with "
-                        f"{tokens} tokens, beyond the packed kernel's "
+                        f"{tokens} tokens, beyond the {owner}'s "
                         f"{MAX_TOKENS}-token cap"
                     ),
                     hint=(
-                        "shrink the initial marking or use a "
-                        "non-kernel engine"
+                        "shrink the initial marking or use "
+                        f"{fallback}"
                     ),
                     element=f"place {net.place_names[index]!r}",
                 )
@@ -596,8 +623,6 @@ def net_diagnostics(
 def config_diagnostics(
     engine: str | None = None,
     delay_mode: str | None = None,
-    parallel: int = 0,
-    parallel_mode: str | None = None,
 ) -> list[Diagnostic]:
     """Engine/configuration incompatibilities, pre-construction.
 
@@ -605,18 +630,12 @@ def config_diagnostics(
     a configuration *before* :class:`SchedulerConfig.__post_init__`
     gets the chance to raise.
     """
-    from repro.scheduler.config import (
-        DELAY_MODES,
-        ENGINES,
-        PARALLEL_MODES,
-        WORKSTEAL_ENGINES,
-    )
+    from repro.scheduler.config import DELAY_MODES, ENGINES
 
     diagnostics: list[Diagnostic] = []
     for label, value, options in (
         ("engine", engine, ENGINES),
         ("delay_mode", delay_mode, DELAY_MODES),
-        ("parallel_mode", parallel_mode, PARALLEL_MODES),
     ):
         if value is not None and value not in options:
             diagnostics.append(
@@ -645,29 +664,6 @@ def config_diagnostics(
                 element="config.delay_mode",
             )
         )
-    if (
-        parallel >= 2
-        and parallel_mode == "worksteal"
-        and engine is not None
-        and engine not in WORKSTEAL_ENGINES
-    ):
-        diagnostics.append(
-            Diagnostic(
-                code="EZG302",
-                severity=ERROR,
-                message=(
-                    f"work-stealing mode cannot drive the {engine!r} "
-                    "engine: subtree jobs and the shared visited "
-                    "filter need the exportable states and 64-bit "
-                    f"keys of {WORKSTEAL_ENGINES}"
-                ),
-                hint=(
-                    "use engine='kernel' (the default) or "
-                    "parallel_mode='portfolio'"
-                ),
-                element="config.parallel_mode",
-            )
-        )
     return diagnostics
 
 
@@ -678,8 +674,6 @@ def lint_spec(
     spec: EzRTSpec,
     engine: str | None = None,
     delay_mode: str | None = None,
-    parallel: int = 0,
-    parallel_mode: str | None = None,
     compile_net: bool = True,
 ) -> list[Diagnostic]:
     """Run every spec-pack rule against one specification.
@@ -702,11 +696,6 @@ def lint_spec(
                 net_diagnostics(compose(spec).compiled(), engine=engine)
             )
     diagnostics.extend(
-        config_diagnostics(
-            engine=engine,
-            delay_mode=delay_mode,
-            parallel=parallel,
-            parallel_mode=parallel_mode,
-        )
+        config_diagnostics(engine=engine, delay_mode=delay_mode)
     )
     return diagnostics

@@ -14,8 +14,7 @@ _SUBMODULES = {
         "simulate_runtime",
     ),
     ".config": (
-        "DELAY_MODES", "ENGINES", "PARALLEL_MODES", "PRIORITY_MODES",
-        "SchedulerConfig",
+        "DELAY_MODES", "ENGINES", "PRIORITY_MODES", "SchedulerConfig",
     ),
     ".core": (
         "EngineAdapter", "IncrementalAdapter", "ReferenceAdapter",
@@ -27,7 +26,7 @@ _SUBMODULES = {
         "search",
     ),
     ".parallel": (
-        "ParallelScheduler", "SharedVisitedFilter", "split_frontier",
+        "ParallelScheduler",
     ),
     ".policies": (
         "POLICIES", "default_portfolio", "parse_policy", "parse_slot",

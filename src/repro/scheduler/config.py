@@ -28,7 +28,7 @@ the ablation benches sweep:
   incremental 64-bit state keys, and an optional compiled C inner
   loop with a pure-Python fallback), ``"incremental"`` (the
   O(degree) tuple-based discrete-time engine; on hosts without a C
-  compiler the kernel's pure fallback runs at about 0.8× its speed),
+  compiler the kernel's pure fallback runs at about 0.85× its speed),
   ``"reference"`` (the checked discrete semantics
   baseline) or ``"stateclass"`` (the dense-time Berthomieu–Diaz
   state-class engine of :mod:`repro.tpn.stateclass`, which searches
@@ -40,13 +40,10 @@ the ablation benches sweep:
   :mod:`repro.scheduler.policies`); orderings never change the verdict,
   only how fast a feasible schedule is found;
 * the parallel knobs — ``parallel`` (worker count; ``0``/``1`` keep
-  the search serial), ``parallel_mode`` (``"portfolio"`` races
-  independent policies and the first definitive verdict wins;
-  ``"worksteal"`` splits the root frontier into subtree jobs that
-  workers drain against a shared visited filter; it runs on the
-  ``kernel`` or ``incremental`` engine) and ``portfolio``
-  (explicit slot list for the race; empty picks the default
-  rotation of :func:`repro.scheduler.policies.default_portfolio`).
+  the search serial; ``>= 2`` races independent policies and the
+  first definitive verdict wins) and ``portfolio`` (explicit slot
+  list for the race; empty picks the default rotation of
+  :func:`repro.scheduler.policies.default_portfolio`).
   A portfolio slot is ``"[engine:]policy[:seed]"`` — prefixing a
   policy with an engine name races successor *engines* as well as
   orderings (e.g. ``("incremental:earliest", "stateclass:earliest")``
@@ -69,18 +66,12 @@ from repro.tpn.state import RESET_POLICIES
 
 PRIORITY_MODES = ("ordered", "strict")
 DELAY_MODES = ("earliest", "extremes", "full")
-PARALLEL_MODES = ("portfolio", "worksteal")
 
 #: Successor engines the scheduler can run on.  ``incremental``,
 #: ``kernel`` and ``reference`` share the discrete-time TLTS semantics
 #: (``kernel`` over packed buffers with an optional compiled core);
 #: ``stateclass`` searches the dense-time state-class graph.
 ENGINES = ("incremental", "kernel", "reference", "stateclass")
-
-#: Engines work-stealing can partition: their states revive from the
-#: canonical ``(marking, clocks)`` pair a subtree job ships and carry
-#: the 64-bit key the shared visited filter claims.
-WORKSTEAL_ENGINES = ("kernel", "incremental")
 
 
 @dataclass
@@ -97,7 +88,6 @@ class SchedulerConfig:
     policy: str = "earliest"
     policy_seed: int = 0
     parallel: int = 0
-    parallel_mode: str = "portfolio"
     portfolio: tuple[str, ...] = field(default_factory=tuple)
     #: observability (repro.obs): JSONL span/event sink path (None =
     #: tracing off, the no-op recorder) and heartbeat streaming —
@@ -141,7 +131,7 @@ class SchedulerConfig:
             raise SchedulingError("max_seconds must be positive")
         # deferred import: policies imports nothing from this module,
         # but keeping config importable first avoids a cycle with dfs
-        from repro.scheduler.policies import POLICIES, parse_policy
+        from repro.scheduler.policies import POLICIES
 
         if self.policy not in POLICIES:
             raise SchedulingError(
@@ -151,20 +141,6 @@ class SchedulerConfig:
         if self.parallel < 0:
             raise SchedulingError(
                 "parallel must be >= 0 (0/1 mean a serial search)"
-            )
-        if self.parallel_mode not in PARALLEL_MODES:
-            raise SchedulingError(
-                f"unknown parallel mode {self.parallel_mode!r}; "
-                f"expected one of {PARALLEL_MODES}"
-            )
-        if (
-            self.parallel >= 2
-            and self.parallel_mode == "worksteal"
-            and self.engine not in WORKSTEAL_ENGINES
-        ):
-            raise SchedulingError(
-                "work-stealing mode requires a discrete engine with "
-                f"exportable states, one of {WORKSTEAL_ENGINES}"
             )
         from repro.scheduler.policies import parse_slot
 

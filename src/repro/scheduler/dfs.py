@@ -11,7 +11,7 @@ holds the single engine-agnostic DFS loop and the four
 ``config.py`` the knobs, ``result.py`` the outcome/statistics
 containers, ``policies.py`` the alternative candidate orderings,
 ``adaptive.py`` the portfolio-seeding statistics, and ``parallel.py``
-races or partitions the search across worker processes.  Start reading
+races the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
 :meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
 state's successor choices are enumerated).
@@ -39,7 +39,7 @@ adapter behind the shared loop:
   successor computation over the compile-time ``affected`` adjacency,
   compact :class:`~repro.tpn.fastengine.FastState` states with cached
   hashes and enabled sets.  Without a C compiler the kernel runs its
-  pure-Python fallback at about 0.8× this engine's speed, so such
+  pure-Python fallback at about 0.85× this engine's speed, so such
   hosts may prefer ``--engine incremental``;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
@@ -57,26 +57,16 @@ adapter behind the shared loop:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressPrinter
-from repro.scheduler.config import (
-    ENGINES,
-    WORKSTEAL_ENGINES,
-    SchedulerConfig,
-)
+from repro.scheduler.config import ENGINES, SchedulerConfig
 from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
 from repro.tpn.net import CompiledNet
-
-if TYPE_CHECKING:
-    from repro.tpn.fastengine import IncrementalEngine
-    from repro.tpn.kernel import KernelEngine
 
 
 class PreRuntimeScheduler:
@@ -84,9 +74,8 @@ class PreRuntimeScheduler:
 
     A thin shell around :class:`repro.scheduler.core.SearchCore`: it
     validates the configuration, builds the engine adapter and the
-    policy reorder function, and exposes the injection points the
-    parallel scheduler's workers use (``tick``, ``shared_filter``,
-    :meth:`search_from`).
+    policy reorder function, and exposes the injection point the
+    portfolio racer's workers use (``tick``).
     """
 
     def __init__(
@@ -117,21 +106,11 @@ class PreRuntimeScheduler:
         self._reorder = make_reorder(
             self.config.policy, net, self.config.policy_seed
         )
-        # Injection points for the parallel scheduler's workers (all
-        # no-ops for a plain serial search):
-        #: cooperative callback, polled every 1024 expansions with the
-        #: live counters; returning True aborts the search (used for
-        #: first-win cancellation and shared state budgets).
+        #: Injection point for the portfolio racer's workers (a no-op
+        #: for a plain serial search): a cooperative callback, polled
+        #: every 1024 expansions with the live counters; returning True
+        #: aborts the search (first-win cancellation).
         self.tick = None
-        #: cross-process visited filter with an ``add(key) -> bool``
-        #: protocol (False when the key was already present); states
-        #: another worker claimed are skipped like local revisits.
-        self.shared_filter = None
-        #: work-stealing re-split hook: when set, the search core
-        #: donates frontier prefixes back to the shared job queue
-        #: whenever the hook reports other workers are starving (see
-        #: :meth:`repro.scheduler.core.SearchCore._export_prefix`).
-        self.resplit = None
         # Observability (repro.obs).  The metrics registry is always
         # on — a few dict writes per search, snapshotted onto
         # ``SchedulerResult.metrics``; portfolio workers swap in their
@@ -174,16 +153,6 @@ class PreRuntimeScheduler:
                 "this automatically) before scheduling"
             )
 
-    @property
-    def fast(self) -> KernelEngine | IncrementalEngine:
-        """The discrete successor engine (work-stealing handoff)."""
-        if self.engine_mode not in WORKSTEAL_ENGINES:
-            raise SchedulingError(
-                f"the {self.engine_mode!r} engine has no work-stealing "
-                f"handoff; use one of {WORKSTEAL_ENGINES}"
-            )
-        return self.adapter.engine
-
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
         """Run the DFS; returns a result whether or not it succeeds."""
@@ -192,33 +161,10 @@ class PreRuntimeScheduler:
             self.config,
             reorder=self._reorder,
             tick=self.tick,
-            shared_filter=self.shared_filter,
             obs=self.obs,
             metrics=self.metrics,
             heartbeat=self.heartbeat,
-            resplit=self.resplit,
         ).run()
-
-    def search_from(self, root, now: int) -> SchedulerResult:
-        """Run the DFS from a subtree root instead of the initial state.
-
-        Used by the work-stealing mode: ``root`` is a frontier state
-        exported by :func:`repro.scheduler.parallel.split_frontier` and
-        revived by this scheduler's adapter, and ``now`` the absolute
-        time its prefix ends at, so the returned ``firing_schedule``
-        carries absolute times that concatenate directly onto the
-        prefix.  Kernel and incremental engines only.
-        """
-        if self.engine_mode not in WORKSTEAL_ENGINES:
-            raise SchedulingError(
-                "subtree search requires one of the engines "
-                f"{WORKSTEAL_ENGINES}"
-            )
-        self.adapter.set_root(root, now)
-        try:
-            return self.search()
-        finally:
-            self.adapter.set_root(None, 0)
 
 
 def search(
@@ -232,7 +178,7 @@ def search(
     Dispatches on ``config.parallel``: ``0``/``1`` run the serial DFS
     in-process, ``>= 2`` hand the net to the
     :class:`~repro.scheduler.parallel.ParallelScheduler` (portfolio
-    racing or work-stealing subtree search across worker processes).
+    racing across worker processes).
     ``engine=None`` uses ``config.engine``; an explicit argument
     overrides it for this call.
 

@@ -109,7 +109,7 @@ class SchedulerResult:
             known (used for the paper's visited/minimum comparison).
         winner_policy: in a portfolio race, the policy whose search
             produced the verdict (e.g. ``"random:1"``); ``None`` for
-            serial and work-stealing searches.
+            serial searches.
         winner_engine: in a portfolio race, the successor engine of
             the winning slot (``"kernel"``, ``"incremental"``,
             ``"reference"`` or ``"stateclass"``); with engine-aware slots this can differ
@@ -135,7 +135,7 @@ class SchedulerResult:
             carries its own registry's snapshot (e.g. the
             ``search.max_depth`` gauge); a parallel search carries the
             queue-drained merge of every worker's snapshot (per-slot
-            wall-clock gauges, steal counts, frontier size).  Empty
+            wall-clock gauges and outcome counters).  Empty
             for a bare :class:`~repro.scheduler.core.SearchCore` run
             with no registry attached.
     """

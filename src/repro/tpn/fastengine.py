@@ -10,12 +10,10 @@ tracing a search bug, start at :meth:`IncrementalEngine.successor`
 (the firing rule) and :meth:`IncrementalEngine.window` (which
 transitions may fire next); the slow-but-obvious reference semantics
 lives in :mod:`repro.tpn.state`, and the two are locked together by a
-randomized equivalence suite.  The parallel scheduler builds on two
-small extras here: states round-trip through their canonical
-``(marking, clocks)`` pair (:meth:`FastState.to_state` /
-:meth:`IncrementalEngine.lift`), which is how subtree jobs travel to
-worker processes as a :class:`SubtreeJob` — for the kernel engine's
-states too.
+randomized equivalence suite.  States convert to and from their
+canonical ``(marking, clocks)`` pair (:meth:`FastState.to_state` /
+:meth:`IncrementalEngine.lift`), which is how the TLTS explorer and
+the reachability analysis hand them to reference-engine code.
 
 :class:`repro.tpn.state.StateEngine` implements Definition 3.1 the way
 the paper states it: every firing rebuilds the dense clock vector by
@@ -55,7 +53,6 @@ checked reference implementation.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
@@ -138,48 +135,6 @@ class FastState:
     def to_state(self) -> State:
         """Convert to the reference dataclass representation."""
         return State(self.marking, self.clocks)
-
-
-@dataclass(frozen=True)
-class SubtreeJob:
-    """One unit of work-stealing search: a frontier state plus its path.
-
-    Produced by :func:`repro.scheduler.parallel.split_frontier` from a
-    DFS ``_Frame`` prefix and shipped to worker processes.  Everything
-    is plain tuples of ints, so pickling cost is proportional to the
-    net size, not to the search done so far:
-
-    * ``prefix`` — the ``(transition, delay, absolute_time)`` firings
-      that lead from the initial state to this subtree root; prepended
-      to any schedule found below the root;
-    * ``marking`` / ``clocks`` — the root's canonical pair (clocks
-      with the :data:`~repro.tpn.state.DISABLED` marker), the same for
-      every engine; the worker's search adapter revives it on its own
-      engine through the engine's ``lift``;
-    * ``now`` — the absolute time at the root (sum of prefix delays).
-    """
-
-    prefix: tuple[tuple[int, int, int], ...]
-    marking: tuple[int, ...]
-    clocks: tuple[int, ...]
-    now: int
-
-
-def export_job(
-    state,
-    now: int,
-    prefix: tuple[tuple[int, int, int], ...],
-) -> SubtreeJob:
-    """Freeze a frontier state into a picklable :class:`SubtreeJob`.
-
-    ``state`` is a :class:`FastState` or a
-    :class:`~repro.tpn.kernel.KernelState`; both convert to the
-    canonical reference pair.
-    """
-    canonical = state.to_state()
-    return SubtreeJob(
-        tuple(prefix), canonical.marking, canonical.clocks, now
-    )
 
 
 class IncrementalEngine:

@@ -214,7 +214,8 @@ class TestCacheKey:
         assert len(keys) == 3
 
     def test_v2_entries_miss_cleanly(self, tmp_path):
-        """A pre-engine (v2) cache entry is never served under v3."""
+        """Pre-engine (v2) and parallel-mode (v3) cache entries are
+        never served under v4."""
         import hashlib
 
         from repro.batch.cache import (
@@ -222,31 +223,40 @@ class TestCacheKey:
             job_fingerprint,
         )
 
-        assert CACHE_FORMAT_VERSION == 3
+        assert CACHE_FORMAT_VERSION == 4
         spec = fig3_precedence()
         options, config = ComposerOptions(), SchedulerConfig()
-        document = job_fingerprint(spec, options, config)
-        # reconstruct the v2 layout: old version tag, no engine field
-        document["v"] = 2
-        del document["scheduler"]["engine"]
-        v2_key = hashlib.sha256(
-            json.dumps(
-                document, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        ).hexdigest()
 
+        def stale_key(version: int) -> str:
+            document = job_fingerprint(spec, options, config)
+            document["v"] = version
+            if version == 2:
+                # the v2 layout: no engine field
+                del document["scheduler"]["engine"]
+            else:
+                # the v3 layout: the parallel-mode knob, always
+                # "portfolio" for a key this config could have hit
+                document["scheduler"]["parallel_mode"] = "portfolio"
+            return hashlib.sha256(
+                json.dumps(
+                    document, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
+            ).hexdigest()
+
+        stale_keys = {stale_key(2), stale_key(3)}
         cache = ResultCache(str(tmp_path / "cache"))
-        cache.put(v2_key, {"status": "feasible", "stale": True})
+        for key in stale_keys:
+            cache.put(key, {"status": "feasible", "stale": True})
         engine = BatchEngine(max_workers=1, cache=cache)
         result = engine.run([spec])
-        # the stale payload must not be replayed: the job executed
+        # the stale payloads must not be replayed: the job executed
         assert result.stats.cache_hits == 0
         assert result.stats.cache_misses == 1
         assert result.outcomes[0].status == STATUS_FEASIBLE
         assert "stale" not in result.outcomes[0].to_dict().get(
             "meta", {}
         )
-        assert result.outcomes[0].key != v2_key
+        assert result.outcomes[0].key not in stale_keys
 
 
 class TestResultCache:

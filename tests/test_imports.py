@@ -116,9 +116,19 @@ class TestColdImports:
         ):
             assert name not in modules, name
 
+    def test_portfolio_search_skips_the_incremental_engine(self):
+        # a default portfolio race runs every slot on the kernel, so
+        # the parent never loads the incremental engine either
+        modules, _ = _loaded_modules(
+            _cli(["schedule", "@fig3", "--parallel", "2"])
+        )
+        assert "repro.scheduler.parallel" in modules
+        assert "repro.tpn.kernel" in modules
+        assert "repro.tpn.fastengine" not in modules
+
     def test_parallel_module_defers_multiprocessing(self):
         # only a parallel search needs process pools; importing the
-        # module (for split_frontier, say) must not load them
+        # module (for validate_with_reference, say) must not load them
         modules, _ = _loaded_modules("import repro.scheduler.parallel")
         assert "multiprocessing" not in modules
 

@@ -25,6 +25,7 @@ from repro.batch.job import (
 )
 from repro.blocks.composer import compose
 from repro.cli import main as cli_main
+from repro.errors import SchedulingError
 from repro.lint import (
     ERROR,
     WARNING,
@@ -54,7 +55,7 @@ from repro.lint.coderules import (
 )
 from repro.lint.diagnostics import allowed_codes_by_line
 from repro.scheduler import SchedulerConfig
-from repro.scheduler.dfs import find_schedule
+from repro.scheduler.dfs import find_schedule, search
 from repro.spec import (
     SpecBuilder,
     dumps,
@@ -65,6 +66,7 @@ from repro.spec import (
 )
 from repro.spec.model import EzRTSpec, Task
 from repro.tpn.dbm import MAX_BOUND
+from repro.tpn.dbm import MAX_TOKENS as DBM_MAX_TOKENS
 from repro.tpn.interval import INF, TimeInterval
 from repro.tpn._kernelc import PURE_ENV
 from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
@@ -357,8 +359,69 @@ class TestNetRules:
         )
         assert "EZT203" not in codes(presearch_diagnostics(spec))
 
+    def test_initial_marking_over_dbm_token_cap(self):
+        # 70000 tokens fit the kernel's uint32 words but not the
+        # packed DBM's uint16 marking: the stateclass-targeted lint
+        # must refuse the net the dense search would abort on
+        net = TimePetriNet("fat")
+        net.add_place("p0", marking=70000)
+        net.add_place("p1")
+        net.add_transition("t0")
+        net.add_arc("p0", "t0")
+        net.add_arc("t0", "p1")
+        net.set_final_marking({"p1": 1})
+        compiled = net.compile()
+        assert MAX_TOKENS >= 70000 > DBM_MAX_TOKENS
+        for_stateclass = [
+            d for d in net_diagnostics(compiled, engine="stateclass")
+            if d.code == "EZT203"
+        ]
+        assert len(for_stateclass) == 1
+        assert for_stateclass[0].severity == ERROR
+        assert "p0" in for_stateclass[0].element
+        assert f"{DBM_MAX_TOKENS}-token" in for_stateclass[0].message
+        with pytest.raises(SchedulingError, match="token cap"):
+            search(compiled, SchedulerConfig(engine="stateclass"))
+        for engine in ("kernel", None):
+            assert "EZT203" not in codes(
+                net_diagnostics(compiled, engine=engine)
+            )
+
+    def test_spec_level_dbm_token_cap(self):
+        # lcm(1, DBM_MAX_TOKENS + 2) = DBM_MAX_TOKENS + 2 instances of
+        # the fast task: past the DBM's uint16 marking, inside the
+        # kernel's uint32 words
+        spec = EzRTSpec(
+            "many",
+            tasks=[
+                Task("fast", computation=1, deadline=1, period=1),
+                Task(
+                    "slow",
+                    computation=1,
+                    deadline=DBM_MAX_TOKENS + 2,
+                    period=DBM_MAX_TOKENS + 2,
+                ),
+            ],
+        )
+        diagnostics = token_cap_diagnostics(spec, engine="stateclass")
+        assert codes(diagnostics) == ["EZT203"]
+        assert diagnostics[0].severity == WARNING
+        assert "DBM" in diagnostics[0].message
+        assert "fast" in diagnostics[0].element
+        assert "EZT203" in codes(
+            presearch_diagnostics(spec, engine="stateclass")
+        )
+        for engine in ("kernel", None):
+            assert token_cap_diagnostics(spec, engine=engine) == []
+            assert "EZT203" not in codes(
+                presearch_diagnostics(spec, engine=engine)
+            )
+
     def test_small_spec_has_no_token_cap_finding(self):
         assert token_cap_diagnostics(mine_pump(), engine="kernel") == []
+        assert (
+            token_cap_diagnostics(mine_pump(), engine="stateclass") == []
+        )
 
     def test_hyper_period_past_kernel_clock_cap(self, monkeypatch):
         # periods of 70 ms and 80 ms in µs: hyper-period 560000, past
@@ -490,11 +553,8 @@ class TestConfigRules:
         assert codes(diagnostics) == ["EZG303"]
         assert diagnostics[0].severity == ERROR
 
-    def test_unknown_delay_mode_and_parallel_mode(self):
+    def test_unknown_delay_mode(self):
         assert "EZG303" in codes(config_diagnostics(delay_mode="sometimes"))
-        assert "EZG303" in codes(
-            config_diagnostics(parallel=2, parallel_mode="magic")
-        )
 
     def test_stateclass_requires_earliest_delay(self):
         diagnostics = config_diagnostics(
@@ -504,17 +564,6 @@ class TestConfigRules:
         assert config_diagnostics(
             engine="stateclass", delay_mode="earliest"
         ) == []
-
-    def test_worksteal_requires_a_discrete_engine(self):
-        for engine in ("stateclass", "reference"):
-            diagnostics = config_diagnostics(
-                engine=engine, parallel=4, parallel_mode="worksteal"
-            )
-            assert "EZG302" in codes(diagnostics)
-        for engine in ("kernel", "incremental", None):
-            assert config_diagnostics(
-                engine=engine, parallel=4, parallel_mode="worksteal"
-            ) == []
 
     def test_lint_spec_passes_config_findings_through(self):
         diagnostics = lint_spec(mine_pump(), engine="quantum")
